@@ -269,18 +269,6 @@ class FiniteField(_FieldOps):
             return self._inv_t[a]
         return self._inv_raw(a)
 
-    # element <-> coefficient views -------------------------------------
-
-    def coeffs(self, x: int) -> tuple[int, ...]:
-        """Base-p digits of x, low degree first (the polynomial-basis view)."""
-        self.check(x)
-        return tuple(self._digits(x))
-
-    def from_coeffs(self, ds: Sequence[int]) -> int:
-        if len(ds) > self.k or any(not 0 <= c < self.p for c in ds):
-            raise ValueError("bad coefficient vector")
-        return self._undigits(list(ds) + [0] * (self.k - len(ds)))
-
     # serialization ------------------------------------------------------
 
     def spec_string(self) -> str:
@@ -426,11 +414,6 @@ class ExtensionField(_FieldOps):
         if self._inv_t is not None:
             return self._inv_t[a]
         return self._inv_raw(a)
-
-    def embed(self, x: int) -> int:
-        """Base-field code -> extension code (the identity on codes)."""
-        self.base.check(x)
-        return x
 
     def __eq__(self, other) -> bool:
         return (

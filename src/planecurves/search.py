@@ -2,10 +2,15 @@
 
 Coefficient vectors follow the canonical monomial order (ascending lex on
 exponent triples); the scalar redundancy is killed by fixing the first
-nonzero coefficient to 1 in exhaustive mode.  Counting is vectorized with
-numpy over exact small-integer tables (a float64 matmul for prime fields,
-table gathers otherwise); every reported witness is re-verified through
-the exact element-wise path before it enters a record.
+nonzero coefficient to 1 in exhaustive mode.
+
+Batches are handled by one exact kernel for every q = p^k: a coefficient
+becomes its k base-p digits and a GF(q) value v the k x k GF(p) matrix of
+multiplication by v, so evaluating a batch at every point, restricting it
+to every line, or combining basis vectors is one float64 matmul reduced
+mod p.  The linear-component filter is read off the point counts.  The
+witnesses a record keeps (at most witness_cap) are re-verified through the
+exact element-wise path before they enter it.
 
 Records carry the seed, the generator identifier and the full parameters,
 so a run can be replayed bit for bit.
@@ -14,7 +19,7 @@ so a run can be replayed bit for bit.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -23,7 +28,12 @@ from . import analysis, linalg, plane
 from .curve import PlaneCurve, has_linear_component, monomials, restriction_map
 
 GENERATOR_ID = "numpy-pcg64"
+ENGINE_ID = "numpy-gfp-linear-float64"
 _CHUNK = 1 << 14
+# float64 elements in one transient matmul product; larger batches are
+# processed in row slices of at most this size.
+_SLICE = 1 << 14
+_Q_MAX = 256  # coefficient rows are uint8 codes
 
 
 @dataclass(frozen=True)
@@ -68,92 +78,104 @@ class SearchRecord:
     params: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "degree": self.degree,
-            "mode": self.mode,
-            "seed": self.seed,
-            "generator": self.generator,
-            "engine": self.engine,
-            "curves_examined": self.curves_examined,
-            "discarded_linear": self.discarded_linear,
-            "discarded_zero": self.discarded_zero,
-            "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
-            "best_N": self.best_N,
-            "witnesses": [sorted(w.terms.items()) for w in self.witnesses],
-            "witness_cap": self.witness_cap,
-            "params": self.params,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["histogram"] = {str(k): v for k, v in sorted(self.histogram.items())}
+        out["witnesses"] = [sorted(w.terms.items()) for w in self.witnesses]
+        return out
+
+
+def _gfp_tables(ctx):
+    """(digits, mul), both float64: digits[v] holds the k base-p digits of
+    code v, and mul[v, j, i] is digit i of v * p**j, the entry (i, j) of
+    the GF(p) matrix of multiplication by v."""
+    p, q = ctx.char, ctx.q
+    k = len(np.base_repr(q - 1, p))  # p^k - 1 has k base-p digits
+    powers = p ** np.arange(k)
+    digits = (np.arange(q)[:, None] // powers) % p
+    prods = np.array([[ctx.mul(v, int(b)) for b in powers] for v in range(q)])
+    return digits.astype(np.float64), digits[prods].astype(np.float64)
+
+
+def _lift(mul, table) -> np.ndarray:
+    """The GF(p) matrix of the GF(q)-linear map with the given a x b code
+    table: row a*k + j takes digit j of input a, column b*k + i gives
+    digit i of output b."""
+    t = mul[np.asarray(table)]
+    a, b, k = t.shape[:3]
+    return t.transpose(0, 2, 1, 3).reshape(a * k, b * k)
+
+
+def _slices(n_rows: int, width: int):
+    step = max(1, _SLICE // width)
+    return (slice(s, s + step) for s in range(0, n_rows, step))
+
+
+def _products(digits, p: int, codes: np.ndarray, lifted: np.ndarray):
+    """(rows, digits(codes[rows]) @ lifted mod p) over row slices."""
+    for rows in _slices(codes.shape[0], lifted.shape[1]):
+        prod = digits[codes[rows]].reshape(-1, lifted.shape[0]) @ lifted
+        yield rows, np.remainder(prod, p, out=prod)
 
 
 class _Engine:
-    """Vectorized exact point counting for batches of coefficient vectors."""
+    """Vectorized exact point counting for batches of coefficient vectors.
+
+    Every table is lifted to GF(p) (see _lift), so one float64 matmul mod
+    p serves every q; a GF(q) value is zero when all k of its digits are.
+    The matmul is exact: an entry sums n_monomials * k products of digits,
+    at most n_monomials * k * (p-1)^2 < 2^53 for q <= 256 and d < 10^5.
+
+    A line divides a curve only if all q+1 of its points lie on the curve.
+    For d <= q the converse holds too: the restriction to the line is a
+    binary form of degree d, and a nonzero one has at most d roots on
+    P^1(F_q).  So the membership-times-incidence test decides the linear
+    component exactly for d <= q; for d > q its candidates are restricted
+    to every line.
+    """
 
     def __init__(self, ctx, degree: int, with_linear_flags: bool):
         self.ctx = ctx
         self.degree = degree
-        self.monos = monomials(degree)
-        pl = plane.get_plane(ctx)
-        self.pl = pl
-        vals = np.zeros((len(self.monos), len(pl.points)), dtype=np.uint8)
-        for mi, (i, j, k) in enumerate(self.monos):
-            single = PlaneCurve(ctx, degree, {(i, j, k): 1})
-            for pi, point in enumerate(pl.points):
-                vals[mi, pi] = single.evaluate(point)
-        self.prime = getattr(ctx, "k", 0) == 1
-        if self.prime:
-            self.vals_f = vals.astype(np.float64)
-            self.engine_id = "numpy-float64-matmul"
-        else:
-            self.mul_t = np.zeros((ctx.q, ctx.q), dtype=np.uint8)
-            self.add_t = np.zeros((ctx.q, ctx.q), dtype=np.uint8)
-            for a in range(ctx.q):
-                for b in range(ctx.q):
-                    self.mul_t[a, b] = ctx.mul(a, b)
-                    self.add_t[a, b] = ctx.add(a, b)
-            self.vals = vals
-            self.engine_id = "numpy-table-gather"
-        self.rest_maps = None
+        pl = self.pl = plane.get_plane(ctx)
+        self.p = ctx.char
+        self.digits, mul = _gfp_tables(ctx)
+        self.k = self.digits.shape[1]
+        singles = [PlaneCurve(ctx, degree, {m: 1}) for m in monomials(degree)]
+        self.point_map = _lift(mul, [[f.evaluate(pt) for pt in pl.points] for f in singles])
+        self.incidence = self.rest_map = None
         if with_linear_flags:
-            self.rest_maps = [
-                np.array(restriction_map(ctx, degree, line, pl), dtype=np.uint8)
-                for line in pl.lines
-            ]
+            self.incidence = np.zeros((len(pl.points), len(pl.lines)))
+            for li, pts in enumerate(pl.points_on):
+                self.incidence[list(pts), li] = 1
+            if degree > ctx.q:
+                rest = [restriction_map(ctx, degree, line, pl) for line in pl.lines]
+                self.rest_map = _lift(mul, np.concatenate(rest, axis=1))
 
-    def counts(self, coeffs: np.ndarray) -> np.ndarray:
-        """Rational point count for each coefficient row."""
-        if self.prime:
-            prod = (coeffs.astype(np.float64) @ self.vals_f) % self.ctx.char
-            return (prod == 0).sum(axis=1).astype(np.int64)
-        acc = np.zeros((coeffs.shape[0], self.vals.shape[1]), dtype=np.uint8)
-        for mi in range(len(self.monos)):
-            col = coeffs[:, mi]
-            if not col.any():
-                continue
-            term = self.mul_t[col[:, None], self.vals[mi][None, :]]
-            acc = self.add_t[acc, term]
-        return (acc == 0).sum(axis=1).astype(np.int64)
+    def _vanishing(self, coeffs: np.ndarray, lifted: np.ndarray) -> np.ndarray:
+        """Entry (r, c): the c-th GF(q) output of row r is zero."""
+        out = np.empty((coeffs.shape[0], lifted.shape[1] // self.k), dtype=bool)
+        for rows, prod in _products(self.digits, self.p, coeffs, lifted):
+            out[rows] = ~prod.reshape(prod.shape[0], -1, self.k).any(axis=2)
+        return out
 
-    def linear_flags(self, coeffs: np.ndarray) -> np.ndarray:
-        """True where the curve has an F_q-linear component."""
+    def counts(self, coeffs: np.ndarray):
+        """Rational point count of each row, and the row-by-point
+        membership matrix it is read from."""
+        on = self._vanishing(coeffs, self.point_map)
+        return on.sum(axis=1), on
+
+    def linear_flags(self, coeffs: np.ndarray, on: np.ndarray) -> np.ndarray:
+        """True where the curve has an F_q-linear component; on is the
+        membership matrix from counts."""
         flags = np.zeros(coeffs.shape[0], dtype=bool)
-        if self.prime:
-            cf = coeffs.astype(np.float64)
-            for rmap in self.rest_maps:
-                res = (cf @ rmap.astype(np.float64)) % self.ctx.char
-                flags |= ~res.any(axis=1)
+        for rows in _slices(on.shape[0], self.incidence.shape[1]):
+            flags[rows] = ((on[rows] @ self.incidence) == self.ctx.q + 1).any(axis=1)
+        if self.rest_map is None:  # d <= q: the incidence test is exact
             return flags
-        for rmap in self.rest_maps:
-            res = np.zeros((coeffs.shape[0], rmap.shape[1]), dtype=np.uint8)
-            for mi in range(rmap.shape[0]):
-                col = coeffs[:, mi]
-                if not col.any():
-                    continue
-                row = rmap[mi]
-                for ci in np.nonzero(row)[0]:
-                    term = self.mul_t[col, row[ci]]
-                    res[:, ci] = self.add_t[res[:, ci], term]
-            flags |= ~res.any(axis=1)
+        cand = np.nonzero(flags)[0]
+        zero = self._vanishing(coeffs[cand], self.rest_map)
+        zero = zero.reshape(len(cand), len(self.pl.lines), self.degree + 1)
+        flags[cand] = zero.all(axis=2).any(axis=1)
         return flags
 
 
@@ -196,6 +218,8 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchRecord:
     """Execute a search task; results are worker-count independent."""
     ctx = task.ctx
     q = ctx.q
+    if q > _Q_MAX:
+        raise ValueError(f"searches need q <= {_Q_MAX} (rows are uint8 codes), got q = {q}")
     n_monos = task.n_monomials()
     engine = _Engine(ctx, task.degree, task.require_no_linear_component)
     record = SearchRecord(
@@ -204,14 +228,12 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchRecord:
         mode=task.mode,
         seed=task.seed,
         generator=GENERATOR_ID if task.mode != "exhaustive" else "exhaustive-lex",
-        engine=engine.engine_id,
+        engine=ENGINE_ID,
         witness_cap=task.witness_cap,
         params={
             "n_samples": task.n_samples,
             "require_no_linear_component": task.require_no_linear_component,
-            "singular_at": (
-                plane.point_to_string(task.singular_at) if task.singular_at else None
-            ),
+            "singular_at": plane.point_to_string(task.singular_at) if task.singular_at else None,
             "budget": task.budget,
         },
     )
@@ -241,26 +263,18 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchRecord:
             nullbasis = singular_constraint_basis(ctx, task.degree, task.singular_at)
         rng = np.random.default_rng(task.seed)
         blocks = []
-        remaining = task.n_samples
-        index = 0
-        while remaining > 0:
-            take = min(_CHUNK, remaining)
-            blocks.append((index, take))
-            index += 1
-            remaining -= take
-        chunk_draws = []
-        for _, take in blocks:
+        for start in range(0, task.n_samples, _CHUNK):
+            take = min(_CHUNK, task.n_samples - start)
             if nullbasis is None:
-                chunk_draws.append(
+                blocks.append(
                     rng.integers(0, q, size=(take, n_monos), dtype=np.int64).astype(np.uint8)
                 )
             else:
                 combo = rng.integers(0, q, size=(take, len(nullbasis)), dtype=np.int64)
-                chunk_draws.append(_combine_basis(ctx, nullbasis, combo))
+                blocks.append(_combine_basis(ctx, nullbasis, combo))
 
         def produce(block):
-            index, _ = block
-            return chunk_draws[index]
+            return block
 
     else:
         raise ValueError(f"unknown search mode {task.mode!r}")
@@ -270,14 +284,14 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchRecord:
         nonzero = coeffs.any(axis=1)
         zero_dropped = int((~nonzero).sum())
         coeffs = coeffs[nonzero]
+        counts, on = engine.counts(coeffs)
         lin_dropped = 0
-        if task.require_no_linear_component and coeffs.shape[0]:
-            flags = engine.linear_flags(coeffs)
-            lin_dropped = int(flags.sum())
-            coeffs = coeffs[~flags]
-        if coeffs.shape[0] == 0:
+        if task.require_no_linear_component:
+            keep = ~engine.linear_flags(coeffs, on)
+            lin_dropped = int(keep.size - keep.sum())
+            coeffs, counts = coeffs[keep], counts[keep]
+        if counts.size == 0:
             return zero_dropped, lin_dropped, {}, None, []
-        counts = engine.counts(coeffs)
         hist: dict[int, int] = {}
         for value, times in zip(*np.unique(counts, return_counts=True)):
             hist[int(value)] = int(times)
@@ -323,47 +337,33 @@ def singular_constraint_basis(ctx, degree: int, point) -> list:
     vanishing at the given rational point (four linear conditions)."""
     point = plane.normalize(ctx, point)
     monos = monomials(degree)
-    p = ctx.char
-    x, y, z = point
-    xs = ctx.powers(x, degree)
-    ys = ctx.powers(y, degree)
-    zs = ctx.powers(z, degree)
+    xs, ys, zs = (ctx.powers(c, degree) for c in point)
 
     def monomial_value(i, j, k):
         return ctx.mul(xs[i], ctx.mul(ys[j], zs[k]))
 
-    rows = []
-    rows.append([monomial_value(i, j, k) for (i, j, k) in monos])
+    rows = [[monomial_value(i, j, k) for (i, j, k) in monos]]
     for axis in range(3):
         row = []
         for (i, j, k) in monos:
             exps = [i, j, k]
-            e = exps[axis]
-            mult = e % p
-            if e == 0 or mult == 0:
+            mult = exps[axis] % ctx.char  # the partial's integer factor
+            if mult == 0:
                 row.append(0)
                 continue
-            exps[axis] = e - 1
-            base = monomial_value(*exps)
-            acc = 0
-            for _ in range(mult):
-                acc = ctx.add(acc, base)
-            row.append(acc)
+            exps[axis] -= 1
+            row.append(ctx.mul(mult, monomial_value(*exps)))
         rows.append(row)
     return linalg.nullspace(ctx, rows, len(monos))
 
 
 def _combine_basis(ctx, basis, combo: np.ndarray) -> np.ndarray:
-    out = np.zeros((combo.shape[0], len(basis[0])), dtype=np.uint8)
-    for r in range(combo.shape[0]):
-        vec = [0] * len(basis[0])
-        for b, c in zip(basis, combo[r]):
-            c = int(c)
-            if c:
-                for idx, bv in enumerate(b):
-                    if bv:
-                        vec[idx] = ctx.add(vec[idx], ctx.mul(c, bv))
-        out[r] = vec
+    """Row r is the sum over b of combo[r, b] * basis[b], as uint8 codes."""
+    digits, mul = _gfp_tables(ctx)
+    place = (ctx.char ** np.arange(digits.shape[1])).astype(np.float64)
+    out = np.empty((combo.shape[0], len(basis[0])), dtype=np.uint8)
+    for rows, prod in _products(digits, ctx.char, combo, _lift(mul, basis)):
+        out[rows] = prod.reshape(prod.shape[0], -1, len(place)) @ place
     return out
 
 
@@ -385,7 +385,6 @@ def random_singular_instances(
         if not terms:
             continue
         cur = PlaneCurve(ctx, degree, terms)
-        if has_linear_component(cur) is not None:
-            continue
-        out.append(cur)
+        if has_linear_component(cur) is None:
+            out.append(cur)
     return out

@@ -131,18 +131,6 @@ def pow_mod(F, f, e: int, m):
     return result
 
 
-def derivative(F, f):
-    out = []
-    for i in range(1, len(f)):
-        c = f[i]
-        r = i % F.char
-        acc = 0
-        for _ in range(r):
-            acc = F.add(acc, c)
-        out.append(acc)
-    return trim(out)
-
-
 def interpolate(F, xs, ys):
     """Lagrange interpolation through distinct xs (quadratic time)."""
     master = [1]
@@ -225,13 +213,6 @@ def root_count_in_field(F, f) -> int:
     xq = pow_mod(F, [0, 1], F.q, f)
     g = gcd(F, sub(F, xq, [0, 1]), f)
     return deg(g)
-
-
-def roots_in_field(F, f) -> list[int]:
-    """All distinct roots of nonzero f in F, by scanning the field."""
-    if not f:
-        raise ValueError("zero polynomial has every root")
-    return [x for x in range(F.q) if eval_at(F, f, x) == 0]
 
 
 def distinct_degree_pieces(F, f, max_e: int | None = None):

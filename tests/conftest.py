@@ -6,7 +6,8 @@ from planecurves.curve import PlaneCurve, monomials
 from planecurves.field import FiniteField
 
 FIELD_PARAMS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1),
-                7: (7, 1), 8: (2, 3), 9: (3, 2)}
+                7: (7, 1), 8: (2, 3), 9: (3, 2), 16: (2, 4), 25: (5, 2),
+                27: (3, 3)}
 
 
 def field_for(q: int) -> FiniteField:

@@ -1,10 +1,15 @@
+import json
+import random
+
 import numpy as np
 import pytest
 
-from planecurves import analysis
-from planecurves.curve import PlaneCurve, has_linear_component, monomials
+from planecurves import analysis, plane
+from planecurves.curve import PlaneCurve, curve_mul, has_linear_component, monomials
+from planecurves.field import FiniteField
 from planecurves.search import (
     SearchTask,
+    _combine_basis,
     _Engine,
     count_exact,
     random_singular_instances,
@@ -12,7 +17,7 @@ from planecurves.search import (
     singular_constraint_basis,
 )
 
-from conftest import field_for
+from conftest import field_for, random_curve
 
 
 def test_exhaustive_small_conics():
@@ -67,21 +72,146 @@ def test_random_requires_seed_and_samples():
         run_search(SearchTask(ctx=field_for(2), degree=2, mode="random"))
 
 
+def _rows_with_linear_factor(ctx, d, n, rng):
+    """Coefficient rows of (random line) * (random degree-(d-1) form)."""
+    rows = []
+    for _ in range(n):
+        line = random_curve(ctx, 1, rng)
+        prod = curve_mul(line, random_curve(ctx, d - 1, rng))
+        rows.append([prod.terms.get(m, 0) for m in monomials(d)])
+    return np.array(rows, dtype=np.uint8)
+
+
+def _check_engine_rows(ctx, d, engine, batch):
+    counts, on = engine.counts(batch)
+    flags = engine.linear_flags(batch, on)
+    pl = plane.get_plane(ctx)
+    for row, n, members, flag in zip(batch, counts, on, flags):
+        assert count_exact(ctx, d, row) == n
+        terms = {m: int(c) for m, c in zip(monomials(d), row) if c}
+        cur = PlaneCurve(ctx, d, terms)
+        assert set(np.nonzero(members)[0]) == {
+            pl.point_index[pt] for pt in analysis.rational_points(cur)}
+        assert (has_linear_component(cur) is not None) == flag
+    return flags
+
+
+# (q, d) on both sides of d <= q, where the incidence test alone decides
+# the linear component; for d >= q+1 candidates are restricted to lines.
+ENGINE_CASES = ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 3), (4, 5), (5, 3),
+                (5, 6), (7, 3), (8, 3), (9, 3), (16, 3), (25, 2), (27, 3))
+
+
 def test_engine_matches_exact_counts():
     rng = np.random.default_rng(7)
-    for q in (2, 3, 4, 5, 8, 9):
+    prng = random.Random(7)
+    for q, d in ENGINE_CASES:
         ctx = field_for(q)
-        d = 3
         engine = _Engine(ctx, d, with_linear_flags=True)
-        batch = rng.integers(0, q, size=(60, len(monomials(d)))).astype(np.uint8)
-        batch = batch[batch.any(axis=1)]
-        counts = engine.counts(batch)
-        flags = engine.linear_flags(batch)
-        for row, n, flag in zip(batch, counts, flags):
-            assert count_exact(ctx, d, row) == n
-            terms = {m: int(c) for m, c in zip(monomials(d), row) if c}
-            cur = PlaneCurve(ctx, d, terms)
-            assert (has_linear_component(cur) is not None) == flag
+        n_random = 30 if q <= 9 else 8
+        batch = rng.integers(0, q, size=(n_random, len(monomials(d)))).astype(np.uint8)
+        batch = np.vstack([batch[batch.any(axis=1)],
+                           _rows_with_linear_factor(ctx, d, 4, prng)])
+        flags = _check_engine_rows(ctx, d, engine, batch)
+        assert flags[-4:].all(), (q, d)
+
+
+def test_engine_batches_without_candidates():
+    """d > q: a batch in which no line lies wholly on any curve, and an
+    empty batch, both go through the restriction branch."""
+    ctx = field_for(2)
+    engine = _Engine(ctx, 4, with_linear_flags=True)
+    pl = plane.get_plane(ctx)
+    rng = np.random.default_rng(3)
+    batch = rng.integers(0, 2, size=(200, len(monomials(4)))).astype(np.uint8)
+    keep = []
+    for row in batch:
+        terms = {m: int(c) for m, c in zip(monomials(4), row) if c}
+        if not terms:
+            continue
+        on = {pl.point_index[pt] for pt in analysis.rational_points(PlaneCurve(ctx, 4, terms))}
+        keep.append(not any(set(pts) <= on for pts in pl.points_on))
+    batch = batch[batch.any(axis=1)][np.array(keep)]
+    assert 0 < len(batch)
+    assert not _check_engine_rows(ctx, 4, engine, batch).any()
+    counts, on = engine.counts(batch[:0])
+    assert counts.shape == (0,) and engine.linear_flags(batch[:0], on).shape == (0,)
+
+
+def test_combine_basis_matches_elementwise_sum():
+    rng = np.random.default_rng(11)
+    for q in (4, 5, 9):
+        ctx = field_for(q)
+        basis = singular_constraint_basis(ctx, 4, (1, 2, 1))
+        combo = rng.integers(0, q, size=(50, len(basis)), dtype=np.int64)
+        got = _combine_basis(ctx, basis, combo)
+        for out_row, coeffs in zip(got, combo):
+            want = [0] * len(basis[0])
+            for c, vec in zip(coeffs, basis):
+                for i, v in enumerate(vec):
+                    want[i] = ctx.add(want[i], ctx.mul(int(c), v))
+            assert out_row.tolist() == want
+
+
+# Records of two seeded searches, recorded before the counting engine was
+# rewritten: any change to the random stream, the filter or the witness
+# order shows here.  The engine id is left out.
+PINNED_RANDOM_GF4 = {
+    "q": 4, "degree": 3, "mode": "random", "seed": 2024, "generator": "numpy-pcg64",
+    "curves_examined": 2761, "discarded_linear": 239, "discarded_zero": 0,
+    "histogram": {"0": 8, "1": 24, "2": 265, "3": 174, "4": 786, "5": 287, "6": 777,
+                  "7": 167, "8": 248, "9": 25},
+    "best_N": 9,
+    "witnesses": [
+        [[[0, 0, 3], 1], [[0, 1, 2], 3], [[0, 2, 1], 1], [[0, 3, 0], 3], [[1, 0, 2], 1],
+         [[2, 0, 1], 3], [[2, 1, 0], 3], [[3, 0, 0], 3]],
+        [[[0, 2, 1], 2], [[0, 3, 0], 3], [[1, 0, 2], 1], [[1, 2, 0], 2], [[2, 0, 1], 1],
+         [[2, 1, 0], 1]],
+        [[[0, 0, 3], 3], [[0, 2, 1], 1], [[1, 2, 0], 3], [[2, 0, 1], 3], [[2, 1, 0], 3]],
+        [[[0, 1, 2], 2], [[0, 2, 1], 1], [[0, 3, 0], 3], [[1, 0, 2], 2], [[1, 2, 0], 2],
+         [[2, 0, 1], 3]],
+    ],
+    "witness_cap": 4,
+    "params": {"n_samples": 3000, "require_no_linear_component": True,
+               "singular_at": None, "budget": 10000000},
+}
+PINNED_CONSTRAINED_GF9 = {
+    "q": 9, "degree": 3, "mode": "constrained_random", "seed": 7,
+    "generator": "numpy-pcg64", "curves_examined": 709, "discarded_linear": 91,
+    "discarded_zero": 0, "histogram": {"1": 1, "9": 336, "10": 72, "11": 300},
+    "best_N": 11,
+    "witnesses": [
+        [[[0, 2, 1], 2], [[1, 1, 1], 2], [[1, 2, 0], 2], [[2, 0, 1], 7], [[2, 1, 0], 8]],
+        [[[0, 2, 1], 7], [[0, 3, 0], 6], [[1, 1, 1], 5], [[1, 2, 0], 3], [[2, 0, 1], 8],
+         [[2, 1, 0], 4], [[3, 0, 0], 1]],
+        [[[0, 2, 1], 7], [[0, 3, 0], 1], [[1, 1, 1], 7], [[1, 2, 0], 5], [[2, 0, 1], 1],
+         [[3, 0, 0], 4]],
+        [[[0, 2, 1], 7], [[0, 3, 0], 5], [[1, 1, 1], 1], [[1, 2, 0], 4], [[2, 0, 1], 2],
+         [[2, 1, 0], 8], [[3, 0, 0], 7]],
+    ],
+    "witness_cap": 4,
+    "params": {"n_samples": 800, "require_no_linear_component": True,
+               "singular_at": "0:0:1", "budget": 10000000},
+}
+
+
+@pytest.mark.parametrize("task,pinned", [
+    (SearchTask(ctx=field_for(4), degree=3, mode="random", seed=2024, n_samples=3000,
+                require_no_linear_component=True, witness_cap=4), PINNED_RANDOM_GF4),
+    (SearchTask(ctx=field_for(9), degree=3, mode="constrained_random", seed=7,
+                n_samples=800, require_no_linear_component=True, singular_at=(0, 0, 1),
+                witness_cap=4), PINNED_CONSTRAINED_GF9),
+], ids=["random-gf4", "constrained-gf9"])
+def test_seeded_records_pinned(task, pinned):
+    record = json.loads(json.dumps(run_search(task).to_json_dict()))
+    record.pop("engine")
+    assert record == pinned
+
+
+def test_search_refuses_q_above_256():
+    task = SearchTask(ctx=FiniteField(257), degree=2, mode="random", seed=1, n_samples=10)
+    with pytest.raises(ValueError, match="256"):
+        run_search(task)
 
 
 def test_witnesses_reverify():
