@@ -142,6 +142,9 @@ class NonsingularityVerdict:
     m_budget: int
     witness_degree: Optional[int] = None
     witness_point: Optional[tuple] = None
+    # whether witness_degree is the least degree of a singular point; False
+    # on the capped fallback for a locus containing a curve (exact_min)
+    witness_degree_exact: Optional[bool] = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -149,6 +152,7 @@ class NonsingularityVerdict:
             "certified": self.certified,
             "m_budget": self.m_budget,
             "witness_degree": self.witness_degree,
+            "witness_degree_exact": self.witness_degree_exact,
             "witness_point": (
                 plane.point_to_string(self.witness_point) if self.witness_point else None
             ),
@@ -167,8 +171,9 @@ def is_geometrically_nonsingular(
 
     The verdict is "nonsingular" (with a completeness certificate) when the
     locus is empty and m_budget >= (d-1)^2, "singular" with the witness
-    extension degree when one exists within the budget, and "inconclusive"
-    otherwise.
+    extension degree when one exists within the budget (witness_degree_exact
+    says whether it is known to be the least such degree), and
+    "inconclusive" otherwise.
     """
     if m_budget < 1:
         raise ValueError("m_budget must be >= 1")
@@ -185,6 +190,7 @@ def is_geometrically_nonsingular(
             m_budget,
             witness_degree=result.min_degree,
             witness_point=result.witness_rational,
+            witness_degree_exact=result.exact_min,
         )
     return NonsingularityVerdict("inconclusive", False, m_budget)
 

@@ -412,7 +412,7 @@ def _monicizing_transform(f: PlaneCurve):
     ctx = f.ctx
     m = 1
     while True:
-        field = ctx if m == 1 else ExtensionField(ctx, m)
+        field = ctx if m == 1 else ctx.extension(m)
         cur = f if m == 1 else lift_curve(f, field)
         for point in plane.enumerate_points(field):
             if cur.evaluate(point) != 0:

@@ -1,22 +1,28 @@
-"""Exact arithmetic in finite fields GF(p^k).
+"""Exact arithmetic in finite fields GF(p^k) and towers over them.
 
-Elements are plain Python integers in [0, q).  The base-p digits of the
-integer, little-endian, are the coordinates of the element in the
-polynomial basis 1, t, ..., t^(k-1) of GF(p)[t] / (modulus).  All
-arithmetic goes through a field context object; mixing codes from fields
-of different sizes is caught by the range check, mixing same-sized
-contexts is the caller's responsibility (contexts compare equal only if
-(p, k, modulus) agree).
+Elements are plain Python integers in [0, q).  All arithmetic goes through
+a field context object; mixing codes from fields of different sizes is
+caught by the range check, mixing same-sized contexts is the caller's
+responsibility (contexts compare equal only if their class, base and
+modulus agree).
 
-Two context classes share one operation interface:
+There is one implementation, in _FieldOps.  The prime field GF(p) is the
+base case, computed mod p.  Every other field is a tower base[t] / (f)
+with f monic irreducible of degree m over the base: the base-``base.q``
+digits of a code, little-endian, are its coordinates in the basis
+1, t, ..., t^(m-1), and it computes through its base's operations.
+Codes below base.q are exactly the embedded base elements, so polynomials
+over the base can be reused over a tower without translation.  Two
+context classes differ only in how they are constructed:
 
-  FiniteField(p, k, modulus)   -- GF(p^k) over the prime field, the
-                                  context used by the public API.
-  ExtensionField(base, m, mod) -- GF(q^m) as a tower over another context,
+  FiniteField(p, k, modulus)   -- GF(p^k), the degree-k tower over GF(p)
+                                  (GF(p) itself for k = 1); the context
+                                  used by the public API.
+  ExtensionField(base, m, mod) -- GF(q^m) as a tower over any context,
                                   used internally for singularity and
-                                  divisibility work.  Elements of the base
-                                  field keep their integer codes, so no
-                                  embedding tables are needed.
+                                  divisibility work.  ctx.extension(m)
+                                  builds each default tower once per
+                                  context.
 
 The default modulus is the lexicographically smallest monic irreducible
 polynomial (coefficients compared low-degree first), which makes contexts
@@ -29,7 +35,7 @@ from typing import Optional, Sequence
 
 from . import unipoly
 
-# Multiplication/addition tables are built for fields up to this size.
+# Multiplication/addition tables are built for towers up to this size.
 _TABLE_LIMIT = 256
 
 
@@ -49,20 +55,175 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class _FieldOps:
-    """Operations shared by both context classes.
+def _checked_modulus(modulus: Sequence[int], degree: int, q: int) -> tuple[int, ...]:
+    modulus = tuple(int(c) for c in modulus)
+    if len(modulus) != degree + 1 or modulus[-1] != 1:
+        raise ValueError(f"modulus must be monic of degree exactly {degree}")
+    if any(not 0 <= c < q for c in modulus):
+        raise ValueError(f"modulus coefficients must lie in [0, {q})")
+    return modulus
 
-    Subclasses provide q, char, add, neg, mul and inv; everything else is
-    derived here.  Elements are ints in [0, q).
+
+class _FieldOps:
+    """The arithmetic of every field context.
+
+    ``base`` is None for the prime field GF(p), whose arithmetic is mod p.
+    Otherwise the context is base[t] / (modulus) of degree ``m`` over its
+    base and computes through the base's unchecked operations (table
+    lookups when the base has tables).  Towers of at most _TABLE_LIMIT
+    elements tabulate their own add, mul and inv.  The public operations
+    range-check their arguments with ``check``; the underscored ones trust
+    them.
     """
 
     q: int
     char: int
+    base: Optional["_FieldOps"]
+    m: int
+    modulus: tuple[int, ...]
+
+    def _init_tower(self, base: "_FieldOps", m: int, modulus: Optional[Sequence[int]]):
+        """Set this context up as base[t] / (modulus), modulus monic of degree m."""
+        self.base = base
+        self.m = m
+        self.q = base.q ** m
+        self.char = base.char
+        if modulus is None:
+            modulus = unipoly.find_irreducible(base, m)
+        else:
+            modulus = _checked_modulus(modulus, m, base.q)
+            if m > 1 and not unipoly.is_irreducible(base, list(modulus)):
+                raise ValueError(f"modulus {list(modulus)} is reducible over {base!r}")
+        self.modulus = tuple(modulus)
+        # t^m = sum_j _reduce[j] t^j in the quotient ring
+        self._reduce = [base._neg(c) for c in self.modulus[:m]]
+        self._towers = {}
+        self._add_t = self._mul_t = self._inv_t = None
+        if self.q <= _TABLE_LIMIT:
+            # Tables from discrete logarithms: a b = g^(log a + log b) and
+            # a + b = a (1 + b/a), so raw arithmetic is needed only for the
+            # powers of a generator g and for the q sums 1 + x.
+            q, exp = self.q, self._generator_powers()
+            log = {x: i for i, x in enumerate(exp)}
+            exp2 = exp * 2
+            mul_t = self._mul_t = [exp2[log[a] + log[b]] if a and b else 0
+                                   for a in range(q) for b in range(q)]
+            inv_t = self._inv_t = [0] + [exp[-log[a]] for a in range(1, q)]
+            succ = [self._add_raw(1, x) for x in range(q)]
+            self._add_t = [mul_t[a * q + succ[mul_t[b * q + inv_t[a]]]] if a else b
+                           for a in range(q) for b in range(q)]
+
+    def _generator_powers(self) -> list[int]:
+        """[g^0, ..., g^(q-2)] for the least code g of multiplicative order q-1."""
+        for g in range(1, self.q):
+            exp = [1]
+            while len(exp) < self.q and (x := self._mul_raw(exp[-1], g)) != 1:
+                exp.append(x)
+            if len(exp) == self.q - 1:
+                return exp
+        raise RuntimeError(f"no generator: {self!r} arithmetic is not a field's")
+
+    def extension(self, m: int) -> "ExtensionField":
+        """ExtensionField(self, m) with the default modulus, built once per
+        context object and reused by every later call."""
+        ext = self._towers.get(m)
+        if ext is None:
+            ext = self._towers[m] = ExtensionField(self, m)
+        return ext
+
+    # unchecked arithmetic ---------------------------------------------
+
+    def _digits(self, x: int) -> list[int]:
+        bq = self.base.q
+        out = [0] * self.m
+        for i in range(self.m):
+            x, out[i] = x // bq, x % bq
+        return out
+
+    def _undigits(self, ds: Sequence[int]) -> int:
+        x = 0
+        for c in reversed(ds):
+            x = x * self.base.q + c
+        return x
+
+    def _add_raw(self, a: int, b: int) -> int:
+        if self.base is None:
+            return (a + b) % self.q
+        add = self.base._add
+        return self._undigits([add(x, y) for x, y in zip(self._digits(a), self._digits(b))])
+
+    def _neg(self, a: int) -> int:
+        if self.base is None:
+            return (-a) % self.q
+        return self._undigits([self.base._neg(c) for c in self._digits(a)])
+
+    def _mul_raw(self, a: int, b: int) -> int:
+        if self.base is None:
+            return (a * b) % self.q
+        add, mul, m = self.base._add, self.base._mul, self.m
+        prod = [0] * (2 * m - 1)
+        db = self._digits(b)
+        for i, x in enumerate(self._digits(a)):
+            if x:
+                for j, y in enumerate(db):
+                    if y:
+                        prod[i + j] = add(prod[i + j], mul(x, y))
+        # reduce by the monic modulus, top degree first
+        for top in range(2 * m - 2, m - 1, -1):
+            c = prod[top]
+            if c:
+                for j, r in enumerate(self._reduce):
+                    if r:
+                        prod[top - m + j] = add(prod[top - m + j], mul(c, r))
+        return self._undigits(prod[:m])
+
+    def _inv_raw(self, a: int) -> int:
+        if self.base is None:
+            return pow(a, self.q - 2, self.q)
+        return self.pow(a, self.q - 2)
+
+    def _add(self, a: int, b: int) -> int:
+        if self._add_t is not None:
+            return self._add_t[a * self.q + b]
+        return self._add_raw(a, b)
+
+    def _mul(self, a: int, b: int) -> int:
+        if self._mul_t is not None:
+            return self._mul_t[a * self.q + b]
+        return self._mul_raw(a, b)
+
+    # public arithmetic ------------------------------------------------
 
     def check(self, x: int) -> int:
         if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < self.q:
             raise ValueError(f"{x!r} is not an element code of {self!r}")
         return x
+
+    # add and mul repeat _add and _mul inline: checked operations dominate
+    # plane builds, and one more call level each slows those measurably
+    def add(self, a: int, b: int) -> int:
+        self.check(a), self.check(b)
+        if self._add_t is not None:
+            return self._add_t[a * self.q + b]
+        return self._add_raw(a, b)
+
+    def neg(self, a: int) -> int:
+        self.check(a)
+        return self._neg(a)
+
+    def mul(self, a: int, b: int) -> int:
+        self.check(a), self.check(b)
+        if self._mul_t is not None:
+            return self._mul_t[a * self.q + b]
+        return self._mul_raw(a, b)
+
+    def inv(self, a: int) -> int:
+        self.check(a)
+        if a == 0:
+            raise ZeroDivisionError(f"inverse of zero in {self!r}")
+        if self._inv_t is not None:
+            return self._inv_t[a]
+        return self._inv_raw(a)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -111,20 +272,13 @@ class _FieldOps:
             out.append(acc)
         return out
 
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and (
+            (self.q, self.base, self.modulus) == (other.q, other.base, other.modulus)
+        )
 
-def _build_tables(field: _FieldOps):
-    q = field.q
-    add_t = [0] * (q * q)
-    mul_t = [0] * (q * q)
-    inv_t = [0] * q
-    for a in range(q):
-        row = a * q
-        for b in range(q):
-            add_t[row + b] = field._add_raw(a, b)
-            mul_t[row + b] = field._mul_raw(a, b)
-    for a in range(1, q):
-        inv_t[a] = field._inv_raw(a)
-    return add_t, mul_t, inv_t
+    def __hash__(self) -> int:
+        return hash((self.q, self.base, self.modulus))
 
 
 class FiniteField(_FieldOps):
@@ -142,132 +296,14 @@ class FiniteField(_FieldOps):
             raise ValueError(f"extension degree k = {k} must be >= 1")
         self.p = p
         self.k = k
-        self.q = p ** k
-        self.char = p
-        base = FiniteField(p, 1) if k > 1 else self
-        if modulus is None:
-            if k == 1:
-                modulus = (0, 1)
-            else:
-                modulus = unipoly.find_irreducible(base, k)
-        else:
-            modulus = tuple(int(c) for c in modulus)
-            if len(modulus) != k + 1 or modulus[-1] != 1:
-                raise ValueError(f"modulus must be monic of degree exactly {k}")
-            if any(not 0 <= c < p for c in modulus):
-                raise ValueError("modulus coefficients must lie in [0, p)")
-            if k > 1 and not unipoly.is_irreducible(base, list(modulus)):
-                raise ValueError(f"modulus {list(modulus)} is reducible over GF({p})")
-        self.modulus = tuple(modulus)
+        if k > 1:
+            self._init_tower(FiniteField(p), k, modulus)
+            return
+        # GF(p): the base case of every tower, computed mod p without tables
+        self.base, self.m, self.q, self.char = None, 1, p, p
+        self.modulus = (0, 1) if modulus is None else _checked_modulus(modulus, 1, p)
+        self._towers = {}
         self._add_t = self._mul_t = self._inv_t = None
-        if self.q <= _TABLE_LIMIT and k > 1:
-            self._add_t, self._mul_t, self._inv_t = _build_tables(self)
-
-    # raw (table-free) arithmetic -------------------------------------
-
-    def _digits(self, x: int) -> list[int]:
-        p = self.p
-        out = [0] * self.k
-        for i in range(self.k):
-            x, out[i] = x // p, x % p
-        return out
-
-    def _undigits(self, ds: Sequence[int]) -> int:
-        x = 0
-        for c in reversed(ds):
-            x = x * self.p + c
-        return x
-
-    def _add_raw(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        da, db = self._digits(a), self._digits(b)
-        return self._undigits([(x + y) % self.p for x, y in zip(da, db)])
-
-    def _neg_raw(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        return self._undigits([(-c) % self.p for c in self._digits(a)])
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a * b) % self.p
-        if self.p == 2:
-            # Carry-less multiply on bit-coded polynomials, then reduce.
-            acc = 0
-            aa, bb = a, b
-            while bb:
-                if bb & 1:
-                    acc ^= aa
-                aa <<= 1
-                bb >>= 1
-            mod_int = self._undigits(self.modulus)
-            mdeg = self.k
-            top = acc.bit_length() - 1
-            while top >= mdeg:
-                acc ^= mod_int << (top - mdeg)
-                top = acc.bit_length() - 1
-            return acc
-        p = self.p
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce by the monic modulus
-        for top in range(len(prod) - 1, self.k - 1, -1):
-            c = prod[top]
-            if c:
-                prod[top] = 0
-                for j in range(self.k):
-                    prod[top - self.k + j] = (prod[top - self.k + j] - c * self.modulus[j]) % p
-        return self._undigits(prod[: self.k])
-
-    def _inv_raw(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError(f"inverse of zero in {self!r}")
-        if self.k == 1:
-            return pow(a, self.p - 2, self.p)
-        # square-and-multiply a**(q-2) using raw multiplication
-        e = self.q - 2
-        result, acc = 1, a
-        while e:
-            if e & 1:
-                result = self._mul_raw(result, acc)
-            acc = self._mul_raw(acc, acc)
-            e >>= 1
-        return result
-
-    # public arithmetic ------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        self.check(a), self.check(b)
-        if self._add_t is not None:
-            return self._add_t[a * self.q + b]
-        return self._add_raw(a, b)
-
-    def neg(self, a: int) -> int:
-        self.check(a)
-        return self._neg_raw(a)
-
-    def mul(self, a: int, b: int) -> int:
-        self.check(a), self.check(b)
-        if self._mul_t is not None:
-            return self._mul_t[a * self.q + b]
-        return self._mul_raw(a, b)
-
-    def inv(self, a: int) -> int:
-        self.check(a)
-        if a == 0:
-            raise ZeroDivisionError(f"inverse of zero in {self!r}")
-        if self._inv_t is not None:
-            return self._inv_t[a]
-        return self._inv_raw(a)
 
     # serialization ------------------------------------------------------
 
@@ -295,15 +331,6 @@ class FiniteField(_FieldOps):
             raise ValueError(f"bad field spec {text!r}") from exc
         return cls(p, k, modulus)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FiniteField)
-            and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.k, self.modulus))
-
     def __repr__(self) -> str:
         return f"GF({self.q})"
 
@@ -320,110 +347,7 @@ class ExtensionField(_FieldOps):
     def __init__(self, base: _FieldOps, m: int, modulus: Optional[Sequence[int]] = None):
         if m < 1:
             raise ValueError("extension degree must be >= 1")
-        self.base = base
-        self.m = m
-        self.q = base.q ** m
-        self.char = base.char
-        if modulus is None:
-            modulus = unipoly.find_irreducible(base, m)
-        else:
-            modulus = tuple(int(c) for c in modulus)
-            if len(modulus) != m + 1 or modulus[-1] != 1:
-                raise ValueError(f"modulus must be monic of degree exactly {m}")
-            if m > 1 and not unipoly.is_irreducible(base, list(modulus)):
-                raise ValueError("modulus is reducible over the base field")
-        self.modulus = tuple(modulus)
-        self._add_t = self._mul_t = self._inv_t = None
-        if self.q <= _TABLE_LIMIT:
-            self._add_t, self._mul_t, self._inv_t = _build_tables(self)
-
-    def _digits(self, x: int) -> list[int]:
-        bq = self.base.q
-        out = [0] * self.m
-        for i in range(self.m):
-            x, out[i] = x // bq, x % bq
-        return out
-
-    def _undigits(self, ds: Sequence[int]) -> int:
-        x = 0
-        for c in reversed(ds):
-            x = x * self.base.q + c
-        return x
-
-    def _add_raw(self, a: int, b: int) -> int:
-        base = self.base
-        return self._undigits(
-            [base.add(x, y) for x, y in zip(self._digits(a), self._digits(b))]
-        )
-
-    def _neg_raw(self, a: int) -> int:
-        return self._undigits([self.base.neg(c) for c in self._digits(a)])
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        base = self.base
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self.m - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    if y:
-                        prod[i + j] = base.add(prod[i + j], base.mul(x, y))
-        for top in range(len(prod) - 1, self.m - 1, -1):
-            c = prod[top]
-            if c:
-                prod[top] = 0
-                for j in range(self.m):
-                    if self.modulus[j]:
-                        prod[top - self.m + j] = base.sub(
-                            prod[top - self.m + j], base.mul(c, self.modulus[j])
-                        )
-        return self._undigits(prod[: self.m])
-
-    def _inv_raw(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError(f"inverse of zero in {self!r}")
-        e = self.q - 2
-        result, acc = 1, a
-        while e:
-            if e & 1:
-                result = self._mul_raw(result, acc)
-            acc = self._mul_raw(acc, acc)
-            e >>= 1
-        return result
-
-    def add(self, a: int, b: int) -> int:
-        self.check(a), self.check(b)
-        if self._add_t is not None:
-            return self._add_t[a * self.q + b]
-        return self._add_raw(a, b)
-
-    def neg(self, a: int) -> int:
-        self.check(a)
-        return self._neg_raw(a)
-
-    def mul(self, a: int, b: int) -> int:
-        self.check(a), self.check(b)
-        if self._mul_t is not None:
-            return self._mul_t[a * self.q + b]
-        return self._mul_raw(a, b)
-
-    def inv(self, a: int) -> int:
-        self.check(a)
-        if a == 0:
-            raise ZeroDivisionError(f"inverse of zero in {self!r}")
-        if self._inv_t is not None:
-            return self._inv_t[a]
-        return self._inv_raw(a)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExtensionField)
-            and self.base == other.base
-            and (self.m, self.modulus) == (other.m, other.modulus)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.m, self.modulus))
+        self._init_tower(base, m, modulus)
 
     def __repr__(self) -> str:
         return f"GF({self.base.q}^{self.m})"

@@ -27,7 +27,6 @@ from typing import Optional
 
 from . import plane, unipoly
 from .curve import PlaneCurve, exact_divide, lift_curve
-from .field import ExtensionField
 
 
 @dataclass(frozen=True)
@@ -374,7 +373,7 @@ def _interp_field(ctx, npoints: int):
     m = 2
     while ctx.q ** m < npoints:
         m += 1
-    return ExtensionField(ctx, m)
+    return ctx.extension(m)
 
 
 def _eliminate_pair(ctx, terms_a, terms_b):
@@ -504,7 +503,7 @@ def _curve_min_degree(ctx, terms, tracker, enum_cap):
             return True
     m = 2
     while (ctx.q ** m) ** 2 <= enum_cap:
-        ext = ExtensionField(ctx, m)
+        ext = ctx.extension(m)
         lifted = lift_curve(cur, ext)
         for point in plane.enumerate_points(ext):
             if lifted.evaluate(point) == 0:
@@ -607,7 +606,7 @@ def singular_points_over_extension(curve: PlaneCurve, m: int):
     """All singular points of the curve with coordinates in GF(q^m), found
     by plain enumeration; the test oracle for the exact path."""
     ctx = curve.ctx
-    field = ctx if m == 1 else ExtensionField(ctx, m)
+    field = ctx if m == 1 else ctx.extension(m)
     cur = curve if m == 1 else lift_curve(curve, field)
     parts = [p for p in cur.partials() if p is not None]
     found = []

@@ -56,13 +56,27 @@ def test_membership_required_when_char_divides_degree():
 def test_nonsingularity_verdicts(gf4, gf5):
     hermitian = PlaneCurve(gf4, 3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
     v = analysis.is_geometrically_nonsingular(hermitian, 9)
-    assert v.status == "nonsingular" and v.certified
+    assert v.status == "nonsingular" and v.certified and v.witness_degree_exact is None
     cusp = PlaneCurve(gf5, 3, {(0, 2, 1): 1, (3, 0, 0): gf5.neg(1)})
     v = analysis.is_geometrically_nonsingular(cusp, 1)
     assert v.status == "singular" and v.witness_degree == 1
     # small budget on a smooth curve: no certificate
     v = analysis.is_geometrically_nonsingular(hermitian, 2)
     assert v.status == "inconclusive" and not v.certified
+
+
+def test_verdict_says_when_witness_degree_may_not_be_minimal():
+    F2 = field_for(2)
+    # a cubic without GF(2)-points; its square is singular along it
+    cubic = PlaneCurve(F2, 3, {m: 1 for m in [(0, 0, 3), (0, 2, 1), (0, 3, 0), (1, 1, 1),
+                                              (2, 0, 1), (2, 1, 0), (3, 0, 0)]})
+    square = curve_mul(cubic, cubic)
+    capped = analysis.is_geometrically_nonsingular(square, 9, enum_cap=1)
+    assert (capped.status, capped.certified, capped.witness_degree) == ("singular", True, 3)
+    assert capped.witness_degree_exact is False
+    assert capped.to_json_dict()["witness_degree_exact"] is False
+    full = analysis.is_geometrically_nonsingular(square, 9)
+    assert (full.witness_degree, full.witness_degree_exact) == (3, True)
 
 
 def test_deg_q_plus_1_nonsingular_within_budget():

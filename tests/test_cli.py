@@ -88,6 +88,7 @@ def test_singular_subcommand(capsys):
     payload = json.loads(out)
     assert payload["singular_rational"] == ["0:0:1"]
     assert payload["geometric"]["status"] == "singular"
+    assert payload["geometric"]["witness_degree_exact"] is True
 
 
 def test_frobenius_subcommand(capsys):

@@ -3,7 +3,10 @@ import itertools
 import pytest
 
 from planecurves import unipoly
+from planecurves.catalog import exceptional_quartic
+from planecurves.curve import lift_curve
 from planecurves.field import ExtensionField, FiniteField
+from planecurves.plane import enumerate_points
 
 
 def test_default_moduli_are_deterministic_and_expected():
@@ -45,11 +48,19 @@ def test_division_by_zero():
 
 
 def test_element_range_checked():
-    F = FiniteField(2, 2)
-    with pytest.raises(ValueError):
-        F.add(1, 4)
-    with pytest.raises(ValueError):
-        F.mul(-1, 2)
+    fields = [
+        FiniteField(2, 2),
+        FiniteField(13),                        # prime, no tables
+        ExtensionField(FiniteField(2, 2), 2),   # tower, tabled
+        FiniteField(3, 6),                      # q = 729, no tables
+    ]
+    for F in fields:
+        for bad in (F.q, F.q + 7, -1, True):
+            for call in (lambda: F.add(bad, 1), lambda: F.add(1, bad),
+                         lambda: F.mul(bad, 1), lambda: F.mul(1, bad),
+                         lambda: F.neg(bad), lambda: F.inv(bad)):
+                with pytest.raises(ValueError, match="not an element code"):
+                    call()
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
@@ -113,8 +124,34 @@ def test_extension_tower_embeds_base_on_codes():
 
 def test_extension_modulus_validated():
     F3 = FiniteField(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="reducible"):
         ExtensionField(F3, 2, [0, 0, 1])  # t^2 is reducible
+
+
+def test_extension_is_built_once_per_context():
+    F4 = FiniteField(2, 2)
+    E = F4.extension(2)
+    assert F4.extension(2) is E and F4.extension(3) is F4.extension(3)
+    assert E == ExtensionField(F4, 2) and E != FiniteField(2, 4)
+    # an equal but distinct context keeps its own towers
+    assert FiniteField(2, 2).extension(2) is not E
+    assert FiniteField(2, 2).extension(2) == E
+
+
+def test_tower_over_tower_lifts_curves():
+    F4 = FiniteField(2, 2)
+    E = F4.extension(2)
+    EE = E.extension(2)
+    assert EE.q == 256 and EE.base is E and repr(EE) == "GF(16^2)"
+    f = exceptional_quartic(F4)
+    fE = lift_curve(f, E)
+    fEE = lift_curve(fE, EE)
+    with pytest.raises(ValueError):
+        lift_curve(f, EE)  # EE is a tower over E, not over F4
+    for point in enumerate_points(E):
+        assert fEE.evaluate(point) == fE.evaluate(point)
+    for point in enumerate_points(F4):
+        assert fEE.evaluate(point) == f.evaluate(point)
 
 
 def test_unipoly_resultant_vs_euclid_consistency():
