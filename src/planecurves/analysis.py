@@ -118,19 +118,9 @@ def _substituted_unipoly(curve: PlaneCurve, alpha: int) -> list[int]:
 
 
 def singular_rational_points(curve: PlaneCurve) -> tuple:
-    """Rational points where F and all three partials vanish.
-
-    The F(P) = 0 test is mandatory: when the characteristic divides the
-    degree, vanishing partials do not imply membership.
-    """
-    parts = [p for p in curve.partials() if p is not None]
-    out = []
-    for point in plane.enumerate_points(curve.ctx):
-        if curve.evaluate(point) != 0:
-            continue
-        if all(p.evaluate(point) == 0 for p in parts):
-            out.append(point)
-    return tuple(out)
+    """Rational points where F and all three partials vanish, in
+    enumeration order (F(P) = 0 is tested too)."""
+    return tuple(locus.iter_singular_rational_points(curve))
 
 
 @dataclass(frozen=True)

@@ -230,15 +230,6 @@ def pgl_class_count(q: int) -> int:
     return (q ** 3 - 1) * (q ** 3 - q) * (q ** 3 - q * q) // (q - 1)
 
 
-def _canonical_rows(ctx):
-    """Nonzero row vectors with first nonzero coordinate 1, ascending."""
-    q = ctx.q
-    out = [(0, 0, 1)]
-    out.extend((0, 1, c) for c in range(q))
-    out.extend((1, b, c) for b in range(q) for c in range(q))
-    return out
-
-
 def projective_equivalent(
     curve_f: PlaneCurve, curve_g: PlaneCurve, budget: int = 10 ** 7
 ) -> Optional[tuple]:
@@ -262,7 +253,7 @@ def projective_equivalent(
     all_rows = [
         (a, b, c) for a in range(q) for b in range(q) for c in range(q)
     ][1:]
-    for row1 in _canonical_rows(ctx):
+    for row1 in plane.enumerate_points(ctx):
         span1 = set()
         for s in range(q):
             span1.add(tuple(ctx.mul(s, c) for c in row1))

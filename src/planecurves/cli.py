@@ -419,6 +419,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError, ZeroDivisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except RuntimeError as exc:
+        # a failed invariant check inside the library, not a usage error
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

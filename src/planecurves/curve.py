@@ -147,11 +147,8 @@ class PlaneCurve:
                 mult = e % p
                 if mult == 0:
                     continue
-                scaled = 0
-                for _ in range(mult):
-                    scaled = ctx.add(scaled, c)
-                if scaled == 0:
-                    continue
+                # codes below p are the prime-field elements in every context
+                scaled = ctx.mul(mult, c)
                 new = list(exps)
                 new[axis] = e - 1
                 key = tuple(new)
@@ -183,12 +180,8 @@ class PlaneCurve:
                 lin = []
                 row = tri[e]
                 for m in range(e + 1):
-                    binom = row[m] % ctx.char
                     term = ctx.mul(apow[e - m], bpow[m])
-                    scaled = 0
-                    for _ in range(binom):
-                        scaled = ctx.add(scaled, term)
-                    lin.append(scaled)
+                    lin.append(ctx.mul(row[m], term))
                 new = [0] * (len(part) + e)
                 for a_i, a_c in enumerate(part):
                     if a_c:
@@ -507,17 +500,20 @@ def exact_divide(g: PlaneCurve, f: PlaneCurve) -> PlaneCurve:
 
 
 def has_linear_component(f: PlaneCurve):
-    """A witness F_q-line dividing f, or None.
+    """The first F_q-line dividing f in enumeration order, or None.
 
-    Implemented as restriction to every line of the plane, testing for the
-    identically-zero form.
+    A line divides f exactly when f's restriction to it is the zero form,
+    which needs all q+1 rational points of the line on f.  So f is
+    evaluated once at every point, and only the lines passing that test
+    are restricted; the restriction decides for every degree.
     """
     pl = plane.get_plane(f.ctx)
+    on_f = [f.evaluate(point) == 0 for point in pl.points]
     for li, line in enumerate(pl.lines):
         pts = pl.points_on[li]
-        p_pt = pl.points[pts[0]]
-        q_pt = pl.points[pts[1]]
-        if f.restrict(p_pt, q_pt).is_zero():
+        if not all(on_f[pi] for pi in pts):
+            continue
+        if f.restrict(pl.points[pts[0]], pl.points[pts[1]]).is_zero():
             return line
     return None
 

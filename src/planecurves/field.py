@@ -12,8 +12,11 @@ with f monic irreducible of degree m over the base: the base-``base.q``
 digits of a code, little-endian, are its coordinates in the basis
 1, t, ..., t^(m-1), and it computes through its base's operations.
 Codes below base.q are exactly the embedded base elements, so polynomials
-over the base can be reused over a tower without translation.  Two
-context classes differ only in how they are constructed:
+over the base can be reused over a tower without translation.  The coding
+and the raw arithmetic (_init_quotient) need no irreducible modulus, so
+locus codes its quotient rings GF(q)[y] / (u), u possibly reducible, the
+same way; _init_tower adds the irreducibility check and the tables.  Two
+field context classes differ only in how they are constructed:
 
   FiniteField(p, k, modulus)   -- GF(p^k), the degree-k tower over GF(p)
                                   (GF(p) itself for k = 1); the context
@@ -82,23 +85,29 @@ class _FieldOps:
     m: int
     modulus: tuple[int, ...]
 
-    def _init_tower(self, base: "_FieldOps", m: int, modulus: Optional[Sequence[int]]):
-        """Set this context up as base[t] / (modulus), modulus monic of degree m."""
+    def _init_quotient(self, base: "_FieldOps", modulus: Sequence[int]):
+        """Set this context up as base[t] / (modulus) for a monic modulus of
+        degree >= 1, irreducible or not: the coding and the raw arithmetic."""
         self.base = base
-        self.m = m
-        self.q = base.q ** m
+        self.m = len(modulus) - 1
+        self.q = base.q ** self.m
         self.char = base.char
+        self.modulus = tuple(modulus)
+        # t^m = sum_j _reduce[j] t^j in the quotient ring
+        self._reduce = [base._neg(c) for c in self.modulus[:self.m]]
+        self._towers = {}
+        self._add_t = self._mul_t = self._inv_t = None
+
+    def _init_tower(self, base: "_FieldOps", m: int, modulus: Optional[Sequence[int]]):
+        """Set this context up as base[t] / (modulus), modulus monic
+        irreducible of degree m, with tables when it is small."""
         if modulus is None:
             modulus = unipoly.find_irreducible(base, m)
         else:
             modulus = _checked_modulus(modulus, m, base.q)
             if m > 1 and not unipoly.is_irreducible(base, list(modulus)):
                 raise ValueError(f"modulus {list(modulus)} is reducible over {base!r}")
-        self.modulus = tuple(modulus)
-        # t^m = sum_j _reduce[j] t^j in the quotient ring
-        self._reduce = [base._neg(c) for c in self.modulus[:m]]
-        self._towers = {}
-        self._add_t = self._mul_t = self._inv_t = None
+        self._init_quotient(base, modulus)
         if self.q <= _TABLE_LIMIT:
             # Tables from discrete logarithms: a b = g^(log a + log b) and
             # a + b = a (1 + b/a), so raw arithmetic is needed only for the

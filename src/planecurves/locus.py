@@ -15,6 +15,10 @@ are confirmed with gcds over quotient rings GF(q)[y]/(u).  Quotient
 moduli may be products of same-degree irreducibles; any zero divisor met
 along the way splits the modulus and the affected piece is redone
 (dynamic evaluation), so no equal-degree factorization is ever needed.
+A ring element is coded like a tower element of field.py: an integer
+whose base-q digits are its coordinates in 1, y, ..., y^(deg u - 1).
+The ring is a _FieldOps context with its own inversion, so unipoly's
+gcd, division and powering serve polynomials over it unchanged.
 
 Plain point enumeration over GF(q^m) is also provided; it is the oracle
 the exact path is tested against at small sizes.
@@ -27,6 +31,7 @@ from typing import Optional
 
 from . import plane, unipoly
 from .curve import PlaneCurve, exact_divide, lift_curve
+from .field import _FieldOps
 
 
 @dataclass(frozen=True)
@@ -54,104 +59,29 @@ class _Split(Exception):
         self.factor = factor
 
 
-class _QuotRing:
-    """GF(q)[y] / (modulus) with inversion that reports zero divisors."""
+class _QuotRing(_FieldOps):
+    """GF(q)[y] / (u) for a monic u that may be reducible.
 
-    def __init__(self, F, modulus):
-        self.F = F
-        self.modulus = list(modulus)
-        self.deg = unipoly.deg(modulus)
+    Elements are coded like a tower's (base-q digits are the coordinates
+    in 1, y, ..., y^(deg u - 1)) and multiply through _FieldOps'
+    reduction by u.  Inversion reports zero divisors by raising _Split.
+    """
+
+    def __init__(self, base, modulus):
+        self._init_quotient(base, modulus)
 
     def reduce(self, poly):
-        return unipoly.mod(self.F, poly, self.modulus)
+        """The code of a GF(q)[y] polynomial's residue mod u."""
+        return self._undigits(unipoly.mod(self.base, poly, self.modulus))
 
-    def add(self, a, b):
-        return unipoly.add(self.F, a, b)
-
-    def sub(self, a, b):
-        return unipoly.sub(self.F, a, b)
-
-    def neg(self, a):
-        return unipoly.neg(self.F, a)
-
-    def mul(self, a, b):
-        return self.reduce(unipoly.mul(self.F, a, b))
-
-    def try_inv(self, a):
-        d, u, _ = unipoly.xgcd(self.F, a, self.modulus)
-        if unipoly.deg(d) == 0:
-            return self.reduce(unipoly.scale(self.F, self.F.inv(d[0]), u))
-        if unipoly.deg(d) >= self.deg:
+    def inv(self, a):
+        self.check(a)
+        if a == 0:
             raise ZeroDivisionError("inverse of zero in quotient ring")
-        raise _Split(d)
-
-
-# polynomials over a quotient ring: lists of ring elements, low degree first
-
-
-def _rz_trim(poly):
-    while poly and not poly[-1]:
-        poly.pop()
-    return poly
-
-
-def _rz_sub(ring, f, g):
-    out = [list(c) for c in f] + [[] for _ in range(max(0, len(g) - len(f)))]
-    for i, c in enumerate(g):
-        out[i] = ring.sub(out[i], c)
-    return _rz_trim(out)
-
-
-def _rz_monic(ring, f):
-    if not f:
-        return f
-    lead_inv = ring.try_inv(f[-1])
-    return [ring.mul(lead_inv, c) for c in f[:-1]] + [[1]]
-
-
-def _rz_mod(ring, f, g):
-    """Remainder of f by g; g must have invertible leading coefficient."""
-    g = _rz_monic(ring, g)
-    f = [list(c) for c in f]
-    dg = len(g) - 1
-    while len(f) - 1 >= dg and f:
-        c = f[-1]
-        shift = len(f) - 1 - dg
-        for i, b in enumerate(g):
-            if b:
-                f[shift + i] = ring.sub(f[shift + i], ring.mul(c, b))
-        _rz_trim(f)
-    return f
-
-
-def _rz_gcd(ring, f, g):
-    f, g = [list(c) for c in f], [list(c) for c in g]
-    while g:
-        f, g = g, _rz_mod(ring, f, g)
-    return _rz_monic(ring, f)
-
-
-def _rz_mul(ring, f, g):
-    if not f or not g:
-        return []
-    out = [[] for _ in range(len(f) + len(g) - 1)]
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] = ring.add(out[i + j], ring.mul(a, b))
-    return _rz_trim(out)
-
-
-def _rz_pow_mod(ring, f, e, m):
-    result = [[1]]
-    f = _rz_mod(ring, f, m)
-    while e:
-        if e & 1:
-            result = _rz_mod(ring, _rz_mul(ring, result, f), m)
-        f = _rz_mod(ring, _rz_mul(ring, f, f), m)
-        e >>= 1
-    return result
+        d, s, _ = unipoly.xgcd(self.base, unipoly.trim(self._digits(a)), self.modulus)
+        if unipoly.deg(d) > 0:
+            raise _Split(d)
+        return self.reduce(s)
 
 
 # trivariate helpers on sparse term dicts ---------------------------------
@@ -164,16 +94,17 @@ def _tri_strip_z(terms):
     return a, {(i, j, k - a): c for (i, j, k), c in terms.items()}
 
 
-def _tri_to_bivariate(ctx, terms):
-    """Z-stripped homogeneous terms -> polynomial in y with GF[x] coefficients."""
-    ydeg = max(j for (_, j, _) in terms)
-    coeffs = [[] for _ in range(ydeg + 1)]
-    for (i, j, _k), c in terms.items():
-        poly = coeffs[j]
+def _grouped(ctx, terms, outer, inner):
+    """Terms as a list over the exponent of variable ``outer`` of unipolys
+    in variable ``inner`` (0, 1, 2 for X, Y, Z); the third is set to 1."""
+    top = max(exps[outer] for exps in terms)
+    out: list[list[int]] = [[] for _ in range(top + 1)]
+    for exps, c in terms.items():
+        poly, i = out[exps[outer]], exps[inner]
         while len(poly) <= i:
             poly.append(0)
         poly[i] = ctx.add(poly[i], c)
-    return [unipoly.trim(p) for p in coeffs]
+    return [unipoly.trim(p) for p in out]
 
 
 def _bivariate_to_tri(ctx, coeffs):
@@ -271,8 +202,9 @@ def tri_gcd(ctx, terms_a, terms_b):
     """Gcd of two homogeneous trivariate polynomials (dict form, monic-ish)."""
     za, sa = _tri_strip_z(terms_a)
     zb, sb = _tri_strip_z(terms_b)
-    ba = _tri_to_bivariate(ctx, sa)
-    bb = _tri_to_bivariate(ctx, sb)
+    # Z-stripped, so the form is a polynomial in y over GF(q)[x]
+    ba = _grouped(ctx, sa, 1, 0)
+    bb = _grouped(ctx, sb, 1, 0)
     g = _bi_gcd(ctx, ba, bb)
     terms = _bivariate_to_tri(ctx, g)
     zshift = min(za, zb)
@@ -354,18 +286,6 @@ def _restrict_line_case(ctx, system, line, tracker):
             tracker.record(e)
 
 
-def _chart_polys(ctx, terms):
-    """S(1, y, z) as a list over z-degree of y-unipolys."""
-    zdeg = max(k for (_, _, k) in terms)
-    out: list[list[int]] = [[] for _ in range(zdeg + 1)]
-    for (_i, j, k), c in terms.items():
-        poly = out[k]
-        while len(poly) <= j:
-            poly.append(0)
-        poly[j] = ctx.add(poly[j], c)
-    return [unipoly.trim(p) for p in out]
-
-
 def _interp_field(ctx, npoints: int):
     """ctx or the smallest tower extension with at least npoints elements."""
     if ctx.q >= npoints:
@@ -379,8 +299,9 @@ def _interp_field(ctx, npoints: int):
 def _eliminate_pair(ctx, terms_a, terms_b):
     """Nonzero r(y) over ctx whose roots cover the y-coordinates of
     V(A, B) in the chart X = 1, for a coprime pair A, B."""
-    za_polys = _chart_polys(ctx, terms_a)
-    zb_polys = _chart_polys(ctx, terms_b)
+    # S(1, y, z) as a list over z-degree of y-unipolys
+    za_polys = _grouped(ctx, terms_a, 2, 1)
+    zb_polys = _grouped(ctx, terms_b, 2, 1)
     za, zb = len(za_polys) - 1, len(zb_polys) - 1
     if za == 0:
         return list(za_polys[0])
@@ -423,7 +344,7 @@ def _chart_candidates(ctx, system, terms_a, terms_b, tracker):
     if unipoly.deg(r) == 0:
         return
     pieces, _ = unipoly.distinct_degree_pieces(ctx, r)
-    chart_all = [_chart_polys(ctx, terms) for terms in system]
+    chart_all = [_grouped(ctx, terms, 2, 1) for terms in system]
     for e, piece in pieces.items():
         worklist = [piece]
         while worklist:
@@ -440,57 +361,32 @@ def _chart_candidates(ctx, system, terms_a, terms_b, tracker):
 
 def _ring_candidates(ctx, chart_all, u, e, tracker):
     ring = _QuotRing(ctx, u)
-    zpolys = []
-    for chart in chart_all:
-        spec = [ring.reduce(p) for p in chart]
-        spec = _rz_trim([list(c) for c in spec])
-        if spec:
-            zpolys.append(spec)
+    zpolys = [unipoly.trim([ring.reduce(p) for p in chart]) for chart in chart_all]
+    zpolys = [zp for zp in zpolys if zp]
     if not zpolys:
         raise RuntimeError("entire system vanished on a candidate modulus")
-    g: list = []
+    g: list[int] = []
     for zp in zpolys:
-        g = _rz_gcd(ring, g, zp) if g else _rz_monic(ring, zp)
-        if len(g) == 1:
+        g = unipoly.gcd(ring, g, zp) if g else unipoly.monic(ring, zp)
+        if unipoly.deg(g) == 0:
             return
-    if not g:
-        raise RuntimeError("gcd collapsed to zero on a candidate modulus")
     # distinct-degree scan of g over the residue fields GF(q^e)
     Q = ctx.q ** e
-    gg = [list(c) for c in g]
-    zpow = _rz_mod(ring, [[], [1]], gg)
-    for f in range(1, len(gg)):
-        zpow = _rz_pow_mod(ring, zpow, Q, gg)
-        h = _rz_gcd(ring, gg, _rz_sub(ring, zpow, [[], [1]]))
-        if len(h) > 1:
+    zpow = unipoly.mod(ring, [0, 1], g)
+    for f in range(1, len(g)):
+        zpow = unipoly.pow_mod(ring, zpow, Q, g)
+        h = unipoly.gcd(ring, g, unipoly.sub(ring, zpow, [0, 1]))
+        if unipoly.deg(h) >= 1:
             tracker.record(e * f)
-            quo = _rz_quotient(ring, gg, h)
-            gg = quo
-            if len(gg) == 1:
+            g, rem = unipoly.divmod_(ring, g, h)
+            if rem:
+                raise RuntimeError("quotient was not exact")
+            if unipoly.deg(g) == 0:
                 return
-            zpow = _rz_mod(ring, zpow, gg)
-    if len(gg) > 1:
-        # whatever remains is irreducible of degree len(gg)-1 in each component
-        tracker.record(e * (len(gg) - 1))
-
-
-def _rz_quotient(ring, f, g):
-    """Exact quotient of f by monic g over the ring."""
-    g = _rz_monic(ring, g)
-    f = [list(c) for c in f]
-    dg = len(g) - 1
-    quo = [[] for _ in range(len(f) - dg)]
-    while len(f) - 1 >= dg and f:
-        c = f[-1]
-        shift = len(f) - 1 - dg
-        quo[shift] = c
-        for i, b in enumerate(g):
-            if b:
-                f[shift + i] = ring.sub(f[shift + i], ring.mul(c, b))
-        _rz_trim(f)
-    if f:
-        raise RuntimeError("quotient was not exact")
-    return _rz_trim(quo)
+            zpow = unipoly.mod(ring, zpow, g)
+    if unipoly.deg(g) >= 1:
+        # whatever remains is irreducible of degree deg g in each component
+        tracker.record(e * unipoly.deg(g))
 
 
 def _curve_min_degree(ctx, terms, tracker, enum_cap):
@@ -575,20 +471,25 @@ def _tri_exact_divide(ctx, terms_num, terms_den):
     return exact_divide(num, den).terms
 
 
-def _rational_singular_scan(curve: PlaneCurve, parts):
+def iter_singular_rational_points(curve: PlaneCurve):
+    """Rational points where F and all three partials vanish, lazily, in
+    enumeration order.
+
+    The F(P) = 0 test is mandatory: when the characteristic divides the
+    degree, vanishing partials do not imply membership.
+    """
+    parts = [p for p in curve.partials() if p is not None]
     for point in plane.enumerate_points(curve.ctx):
         if curve.evaluate(point) == 0 and all(p.evaluate(point) == 0 for p in parts):
-            return point
-    return None
+            yield point
 
 
 def decide_singular_locus(curve: PlaneCurve, enum_cap: int = 10 ** 6) -> LocusResult:
     """Exact emptiness / minimal-degree decision for the singular locus."""
     ctx = curve.ctx
-    parts = [p for p in curve.partials() if p is not None]
-    system = [curve.terms] + [p.terms for p in parts]
+    system = [curve.terms] + [p.terms for p in curve.partials() if p is not None]
     # cheap first: rational singular points double as degree-1 witnesses
-    witness = _rational_singular_scan(curve, parts)
+    witness = next(iter_singular_rational_points(curve), None)
     if witness is not None:
         return LocusResult(False, 1, True, witness)
     tracker = _Tracker()

@@ -191,3 +191,16 @@ def test_timestamp_present_by_default(capsys):
     code, out, _ = run_cli(capsys, "field-info", "--field", "p=2,k=1")
     assert code == 0
     assert "generated_at" in json.loads(out)
+
+
+def test_internal_invariant_failure_is_one_line(capsys, monkeypatch):
+    from planecurves import search
+
+    monkeypatch.setattr(search, "count_exact", lambda ctx, degree, row: -1)
+    code, _, err = run_cli(
+        capsys, "search", "--field", "p=2,k=1", "--degree", "2",
+        "--mode", "exhaustive", "--no-timestamp",
+    )
+    assert code == 1
+    assert err.startswith("internal error: witness re-verification failed")
+    assert err.count("\n") == 1 and "Traceback" not in err

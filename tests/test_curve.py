@@ -169,6 +169,11 @@ def test_has_linear_component_examples(gf4):
     F3 = field_for(3)
     split = PlaneCurve(F3, 4, {(3, 1, 0): 1, (1, 3, 0): F3.neg(1)})
     assert has_linear_component(split) is not None
+    # X^2 Y + X Y^2 + Z^3 holds all three points of Z = 0 (the cubic
+    # restricts to XY(X + Y) there) but has no linear component
+    cubic = PlaneCurve(F2, 3, {(2, 1, 0): 1, (1, 2, 0): 1, (0, 0, 3): 1})
+    assert all(cubic.evaluate(p) == 0 for p in ((1, 0, 0), (0, 1, 0), (1, 1, 0)))
+    assert has_linear_component(cubic) is None
 
 
 def test_transform_identity_and_swap():

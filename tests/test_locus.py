@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from planecurves import locus
 from planecurves.catalog import catalog_curve, exceptional_quartic
 from planecurves.curve import PlaneCurve, curve_mul
 from planecurves.locus import (
@@ -67,6 +68,41 @@ def test_oracle_cross_check_small_random():
             assert not any(found[m] for m in range(1, res.min_degree))
         else:
             assert not any(found.values())
+
+
+def test_quotient_ring_inversion_splits_on_zero_divisor():
+    F2 = field_for(2)
+    ring = locus._QuotRing(F2, [0, 1, 1])  # GF(2)[y] / (y (y + 1))
+    with pytest.raises(locus._Split) as caught:
+        ring.inv(ring.reduce([0, 1]))
+    assert caught.value.factor in ([0, 1], [1, 1])
+    F3 = field_for(3)
+    ring = locus._QuotRing(F3, [0, 1, 1])  # GF(3)[y] / (y (y + 1))
+    unit = ring.reduce([2, 1])  # y + 2 is nonzero at both roots 0 and 2
+    assert ring.mul(unit, ring.inv(unit)) == 1
+
+
+@pytest.mark.parametrize("q,terms,splits,min_degree,oracle", [
+    (3, {(0, 1, 2): 2, (1, 2, 0): 2, (2, 1, 0): 2}, 1, 2, {1: 0, 2: 2, 3: 0}),
+    (4, {(0, 1, 3): 2, (0, 4, 0): 2, (1, 0, 3): 1, (1, 2, 1): 1, (1, 3, 0): 1,
+         (2, 2, 0): 2, (3, 0, 1): 2, (3, 1, 0): 1}, 2, 3, {1: 0, 2: 0, 3: 3}),
+])
+def test_decisions_that_split_a_modulus(monkeypatch, q, terms, splits, min_degree, oracle):
+    """Dynamic evaluation meets a zero divisor and still decides exactly."""
+    raised = []
+    init = locus._Split.__init__
+
+    def counting(self, factor):
+        raised.append(factor)
+        init(self, factor)
+
+    monkeypatch.setattr(locus._Split, "__init__", counting)
+    cur = PlaneCurve.from_terms(field_for(q), terms)
+    res = decide_singular_locus(cur)
+    assert len(raised) == splits
+    assert not res.empty and res.min_degree == min_degree and res.exact_min
+    found = {m: len(singular_points_over_extension(cur, m)[0]) for m in (1, 2, 3)}
+    assert found == oracle
 
 
 def test_tri_gcd_of_shared_factor():
