@@ -7,6 +7,10 @@ iteration and an affine line sweep whose per-line root counts come from
 gcds with t^q - t); the test suite insists they agree.  The spectrum is
 likewise computed both from the rational point list and from per-line
 restrictions.
+
+The one scan of the plane for a curve's points is curve.rational_points;
+singular points, tangents and linear components are read off its points
+with curve.gradient.  The independent oracles keep loops of their own.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import locus, plane, unipoly
-from .curve import PlaneCurve, frobenius_form, divides, has_linear_component
+from .curve import PlaneCurve, divides, frobenius_form, gradient, has_linear_component
+from .curve import rational_points, singular_rational_points
 
 
 class _Infinite:
@@ -56,23 +61,16 @@ class CountReport:
         }
 
 
-def rational_points(curve: PlaneCurve) -> tuple:
-    """Normalized rational points of the curve, in enumeration order."""
-    return tuple(
-        p for p in plane.enumerate_points(curve.ctx) if curve.evaluate(p) == 0
-    )
-
-
 def count_points(curve: PlaneCurve) -> CountReport:
-    """Point count plus the classification data the bounds need."""
+    """Point count plus the classification data the bounds need, from one scan."""
     pts = rational_points(curve)
     return CountReport(
         q=curve.ctx.q,
         d=curve.degree,
         N=len(pts),
         points=pts,
-        rational_singular=singular_rational_points(curve),
-        linear_component=has_linear_component(curve),
+        rational_singular=singular_rational_points(curve, pts),
+        linear_component=has_linear_component(curve, pts),
     )
 
 
@@ -115,12 +113,6 @@ def _substituted_unipoly(curve: PlaneCurve, alpha: int) -> list[int]:
     for (i, j, _k), c in curve.terms.items():
         out[j] = ctx.add(out[j], ctx.mul(c, apow[i]))
     return unipoly.trim(out)
-
-
-def singular_rational_points(curve: PlaneCurve) -> tuple:
-    """Rational points where F and all three partials vanish, in
-    enumeration order (F(P) = 0 is tested too)."""
-    return tuple(locus.iter_singular_rational_points(curve))
 
 
 @dataclass(frozen=True)
@@ -191,11 +183,8 @@ def tangent_line(curve: PlaneCurve, point) -> tuple:
     point = plane.normalize(ctx, point)
     if curve.evaluate(point) != 0:
         raise ValueError(f"{point} is not on the curve")
-    fx, fy, fz = curve.partials()
-    coeffs = tuple(
-        p.evaluate(point) if p is not None else 0 for p in (fx, fy, fz)
-    )
-    if coeffs == (0, 0, 0):
+    coeffs = gradient(curve.partials(), point)
+    if not any(coeffs):
         raise ValueError(f"{point} is a singular point; no tangent line")
     return plane.normalize(ctx, coeffs)
 
@@ -260,31 +249,25 @@ def line_spectrum(curve: PlaneCurve) -> LineSpectrum:
     """
     ctx = curve.ctx
     pl = plane.get_plane(ctx)
-    member = [curve.evaluate(p) == 0 for p in pl.points]
-    singular = set(singular_rational_points(curve))
+    pts = rational_points(curve)
     parts = curve.partials()
-    tangents: dict[int, int] = {}
-    for pi, point in enumerate(pl.points):
-        if member[pi] and point not in singular:
-            coeffs = tuple(
-                p.evaluate(point) if p is not None else 0 for p in parts
-            )
-            li = pl.line_index[plane.normalize(ctx, coeffs)]
-            tangents[pi] = li
+    # index of each rational point -> index of its tangent, None if singular
+    tangent: dict[int, Optional[int]] = {}
+    for point in pts:
+        coeffs = gradient(parts, point)
+        tangent[pl.point_index[point]] = (
+            pl.line_index[plane.normalize(ctx, coeffs)] if any(coeffs) else None
+        )
     a: dict[int, int] = {}
     per_line = []
     for li, line in enumerate(pl.lines):
-        i_count = sum(1 for pi in pl.points_on[li] if member[pi])
-        s_l = sum(
-            1 for pi in pl.points_on[li] if member[pi] and tangents.get(pi) == li
-        )
-        a[i_count] = a.get(i_count, 0) + 1
-        per_line.append((line, i_count, s_l))
-    a = {i: c for i, c in a.items() if c}
+        on = [pi for pi in pl.points_on[li] if pi in tangent]
+        a[len(on)] = a.get(len(on), 0) + 1
+        per_line.append((line, len(on), sum(1 for pi in on if tangent[pi] == li)))
     return LineSpectrum(
         q=ctx.q,
         d=curve.degree,
-        N=sum(1 for m in member if m),
+        N=len(pts),
         a=a,
         per_line=tuple(per_line),
     )

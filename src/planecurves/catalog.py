@@ -14,7 +14,7 @@ from math import isqrt
 from typing import Callable, Optional
 
 from . import analysis
-from .curve import PlaneCurve, has_linear_component
+from .curve import PlaneCurve
 from .field import FiniteField
 
 
@@ -195,7 +195,8 @@ def verify_catalog(
             if entry.applicable(q) is not None:
                 continue
             cur = entry.build(ctx)
-            n = len(analysis.rational_points(cur))
+            counts = analysis.count_points(cur)
+            n = counts.N
             expected = entry.expected_count(q)
             d = cur.degree
             row = {
@@ -205,8 +206,8 @@ def verify_catalog(
                 "N": n,
                 "expected_N": expected,
                 "count_ok": n == expected,
-                "no_linear_component": has_linear_component(cur) is None,
-                "no_rational_singularity": not analysis.singular_rational_points(cur),
+                "no_linear_component": counts.linear_component is None,
+                "no_rational_singularity": not counts.rational_singular,
                 "sziklai_equality": n == (d - 1) * q + 1,
             }
             if check_nonsingular:

@@ -349,6 +349,10 @@ def cmd_search(args) -> int:
                     bounds.equivalent_by_point_frames(w, target) is None
                     for w in record.witnesses
                 )
+                hits, kept = record.histogram.get(14, 0), len(record.witnesses)
+                if hits > kept:
+                    sys.stderr.write(f"note: {kept} of {hits} N = 14 hits checked against the "
+                                     "exceptional quartic; raise --witness-cap to check all\n")
     return 2 if anomaly else 0
 
 

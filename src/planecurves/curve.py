@@ -499,19 +499,40 @@ def exact_divide(g: PlaneCurve, f: PlaneCurve) -> PlaneCurve:
     return PlaneCurve(g.ctx, g.degree - f.degree, terms)
 
 
-def has_linear_component(f: PlaneCurve):
+def rational_points(curve: PlaneCurve) -> tuple:
+    """Normalized rational points of the curve, in enumeration order: the
+    one scan of the plane that every per-curve classification reads.
+    Membership only; no partials are evaluated."""
+    return tuple(p for p in plane.enumerate_points(curve.ctx) if curve.evaluate(p) == 0)
+
+
+def gradient(parts, point) -> tuple:
+    """(F_X(P), F_Y(P), F_Z(P)) for parts = f.partials()."""
+    return tuple(0 if part is None else part.evaluate(point) for part in parts)
+
+
+def singular_rational_points(curve: PlaneCurve, points=None) -> tuple:
+    """Rational points of the curve (``points``, when already known) where
+    the gradient vanishes, in enumeration order.  F(P) = 0 is required too:
+    when p divides the degree, a zero gradient does not imply it."""
+    parts = curve.partials()
+    pts = rational_points(curve) if points is None else points
+    return tuple(p for p in pts if not any(gradient(parts, p)))
+
+
+def has_linear_component(f: PlaneCurve, points=None):
     """The first F_q-line dividing f in enumeration order, or None.
 
     A line divides f exactly when f's restriction to it is the zero form,
-    which needs all q+1 rational points of the line on f.  So f is
-    evaluated once at every point, and only the lines passing that test
-    are restricted; the restriction decides for every degree.
+    which needs all q+1 rational points of the line on f (``points``, when
+    already known).  Only the lines passing that test are restricted; the
+    restriction decides for every degree.
     """
     pl = plane.get_plane(f.ctx)
-    on_f = [f.evaluate(point) == 0 for point in pl.points]
+    on_f = {pl.point_index[p] for p in (rational_points(f) if points is None else points)}
     for li, line in enumerate(pl.lines):
         pts = pl.points_on[li]
-        if not all(on_f[pi] for pi in pts):
+        if not all(pi in on_f for pi in pts):
             continue
         if f.restrict(pl.points[pts[0]], pl.points[pts[1]]).is_zero():
             return line

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import plane, unipoly
-from .curve import PlaneCurve, exact_divide, lift_curve
+from .curve import PlaneCurve, exact_divide, lift_curve, singular_rational_points
 from .field import _FieldOps
 
 
@@ -471,27 +471,14 @@ def _tri_exact_divide(ctx, terms_num, terms_den):
     return exact_divide(num, den).terms
 
 
-def iter_singular_rational_points(curve: PlaneCurve):
-    """Rational points where F and all three partials vanish, lazily, in
-    enumeration order.
-
-    The F(P) = 0 test is mandatory: when the characteristic divides the
-    degree, vanishing partials do not imply membership.
-    """
-    parts = [p for p in curve.partials() if p is not None]
-    for point in plane.enumerate_points(curve.ctx):
-        if curve.evaluate(point) == 0 and all(p.evaluate(point) == 0 for p in parts):
-            yield point
-
-
 def decide_singular_locus(curve: PlaneCurve, enum_cap: int = 10 ** 6) -> LocusResult:
     """Exact emptiness / minimal-degree decision for the singular locus."""
     ctx = curve.ctx
     system = [curve.terms] + [p.terms for p in curve.partials() if p is not None]
     # cheap first: rational singular points double as degree-1 witnesses
-    witness = next(iter_singular_rational_points(curve), None)
-    if witness is not None:
-        return LocusResult(False, 1, True, witness)
+    rational = singular_rational_points(curve)
+    if rational:
+        return LocusResult(False, 1, True, rational[0])
     tracker = _Tracker()
     exact_flag: list[bool] = []
     _decompose(ctx, system, tracker, enum_cap, exact_flag)

@@ -72,6 +72,8 @@ def divmod_(F, f, g):
         for i, b in enumerate(g):
             if b:
                 f[shift + i] = F.sub(f[shift + i], F.mul(c, b))
+        if f[-1]:  # only a wrong F.inv leaves it, and f would never shrink
+            raise RuntimeError("polynomial division did not cancel the leading term")
         trim(f)
     return trim(quo), f
 

@@ -4,8 +4,11 @@ import pytest
 
 from planecurves import analysis, plane
 from planecurves.analysis import INFINITE
+from planecurves.bounds import bound_verdicts
 from planecurves.catalog import catalog_curve, exceptional_quartic
 from planecurves.curve import PlaneCurve, curve_mul
+from planecurves.locus import singular_points_over_extension
+from planecurves.search import random_singular_instances
 
 from conftest import field_for, random_curve
 
@@ -230,3 +233,63 @@ def test_nonclassical_count_equality():
         assert analysis.is_frobenius_nonclassical(hermitian)
         n = len(analysis.rational_points(hermitian))
         assert n == d * (q - d + 2)
+
+
+def _first_line_with_zero_restriction(cur):
+    pl = plane.get_plane(cur.ctx)
+    for li, line in enumerate(pl.lines):
+        pts = pl.points_on[li]
+        if cur.restrict(pl.points[pts[0]], pl.points[pts[1]]).is_zero():
+            return line
+    return None
+
+
+def test_one_scan_classification_matches_oracles():
+    """count_points' singular points, linear component and N against the
+    enumeration locus, restriction of every line and the line sweep."""
+    rng = random.Random(505)
+    cases = []
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        ctx = field_for(q)
+        for d in range(1, 6):
+            cases.append(random_curve(ctx, d, rng))
+            if d >= 2:
+                line = random_curve(ctx, 1, rng)
+                cases.append(curve_mul(line, random_curve(ctx, d - 1, rng)))
+                point = (1, rng.randrange(q), rng.randrange(q))
+                cases += random_singular_instances(ctx, d, point, 1, seed=10 * q + d)
+    singular = linear = 0
+    for cur in cases:
+        rep = analysis.count_points(cur)
+        oracle, _ = singular_points_over_extension(cur, 1)
+        assert rep.rational_singular == tuple(oracle)
+        assert analysis.singular_rational_points(cur) == tuple(oracle)
+        assert rep.linear_component == _first_line_with_zero_restriction(cur)
+        assert rep.N == analysis.count_by_line_sweep(cur)
+        singular += bool(oracle)
+        linear += rep.linear_component is not None
+    assert singular >= 28 and linear >= 28
+
+
+def test_each_analysis_scans_the_plane_once(monkeypatch, gf5):
+    """count_points and line_spectrum evaluate F once per point of the
+    plane; bound_verdicts stays below three scans."""
+    rng = random.Random(55)
+    cur = random_curve(gf5, 4, rng)
+    calls = []
+    original = PlaneCurve.evaluate
+
+    def counted(self, point):
+        if self is cur:
+            calls.append(point)
+        return original(self, point)
+
+    monkeypatch.setattr(PlaneCurve, "evaluate", counted)
+    points = 5 * 5 + 5 + 1
+    for run in (analysis.count_points, analysis.line_spectrum):
+        calls.clear()
+        run(cur)
+        assert len(calls) == points, run.__name__
+    calls.clear()
+    bound_verdicts(cur)
+    assert len(calls) < 3 * points

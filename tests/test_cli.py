@@ -204,3 +204,25 @@ def test_internal_invariant_failure_is_one_line(capsys, monkeypatch):
     assert code == 1
     assert err.startswith("internal error: witness re-verification failed")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_search_notes_unchecked_exceptional_hits(capsys, monkeypatch):
+    """More N = 14 hits than kept witnesses: one stderr note, stdout and
+    exit code as before."""
+    from planecurves import search
+
+    gf4 = field_for(4)
+    record = search.SearchRecord(
+        q=4, degree=4, mode="random", seed=1, generator="stub", engine="stub",
+        curves_examined=3, histogram={14: 3}, best_N=14,
+        witnesses=[exceptional_quartic(gf4)], witness_cap=1,
+    )
+    monkeypatch.setattr(search, "run_search", lambda task, workers=1: record)
+    code, out, err = run_cli(
+        capsys, "search", "--field", "p=2,k=2", "--degree", "4", "--mode", "random",
+        "--seed", "1", "--samples", "3", "--require-no-linear-component",
+        "--witness-cap", "1", "--no-timestamp",
+    )
+    assert code == 0
+    assert out == json.dumps(record.to_json_dict(), sort_keys=True) + "\n"
+    assert err.count("\n") == 1 and "1 of 3" in err and "--witness-cap" in err

@@ -169,3 +169,31 @@ def test_find_irreducible_is_lex_smallest():
     assert unipoly.find_irreducible(F2, 2) == (1, 1, 1)
     F3 = FiniteField(3)
     assert unipoly.find_irreducible(F3, 2) == (1, 0, 1)
+
+
+class _WrongInverseGF5:
+    """GF(5) whose inv is off by a factor of 2.  mul and sub fail the test
+    after 10^4 calls, so a division that never terminates shows up fast."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def _tick(self):
+        self.calls += 1
+        assert self.calls < 10 ** 4, "divmod_ kept looping on a wrong inverse"
+
+    def inv(self, a):
+        return 2 * pow(a, 3, 5) % 5
+
+    def mul(self, a, b):
+        self._tick()
+        return a * b % 5
+
+    def sub(self, a, b):
+        self._tick()
+        return (a - b) % 5
+
+
+def test_divmod_fails_loudly_on_a_wrong_inverse():
+    with pytest.raises(RuntimeError, match="leading term"):
+        unipoly.divmod_(_WrongInverseGF5(), [1, 2, 3, 4], [1, 1])
