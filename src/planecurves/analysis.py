@@ -147,7 +147,7 @@ def certificate_budget(d: int) -> int:
 
 
 def is_geometrically_nonsingular(
-    curve: PlaneCurve, m_budget: int, enum_cap: int = 10 ** 6
+    curve: PlaneCurve, m_budget: int, enum_cap: int = 10 ** 6, rational=None
 ) -> NonsingularityVerdict:
     """Nonsingularity over the algebraic closure, reported against a budget.
 
@@ -155,11 +155,12 @@ def is_geometrically_nonsingular(
     locus is empty and m_budget >= (d-1)^2, "singular" with the witness
     extension degree when one exists within the budget (witness_degree_exact
     says whether it is known to be the least such degree), and
-    "inconclusive" otherwise.
+    "inconclusive" otherwise.  ``rational`` hands known rational singular
+    points on to locus.decide_singular_locus.
     """
     if m_budget < 1:
         raise ValueError("m_budget must be >= 1")
-    result = locus.decide_singular_locus(curve, enum_cap=enum_cap)
+    result = locus.decide_singular_locus(curve, enum_cap=enum_cap, rational=rational)
     needed = certificate_budget(curve.degree)
     if result.empty:
         if m_budget >= needed:
@@ -241,15 +242,16 @@ class LineSpectrum:
         }
 
 
-def line_spectrum(curve: PlaneCurve) -> LineSpectrum:
-    """Exact spectrum from the rational point list and the incidence cache.
+def line_spectrum(curve: PlaneCurve, points=None) -> LineSpectrum:
+    """Exact spectrum from the rational point list (``points``, when already
+    known) and the incidence cache.
 
     s_l counts only nonsingular rational points whose unique tangent is l,
     matching the convention that singular points carry no tangency count.
     """
     ctx = curve.ctx
     pl = plane.get_plane(ctx)
-    pts = rational_points(curve)
+    pts = rational_points(curve) if points is None else points
     parts = curve.partials()
     # index of each rational point -> index of its tangent, None if singular
     tangent: dict[int, Optional[int]] = {}

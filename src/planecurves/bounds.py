@@ -121,7 +121,8 @@ def bound_verdicts(
     n = counts.N
     if m_budget is None:
         m_budget = analysis.certificate_budget(d)
-    nonsing = analysis.is_geometrically_nonsingular(curve, m_budget, enum_cap=enum_cap)
+    nonsing = analysis.is_geometrically_nonsingular(
+        curve, m_budget, enum_cap=enum_cap, rational=counts.rational_singular)
     no_lin = counts.linear_component is None
     no_rat_sing = not counts.rational_singular
     nonclassical: Optional[bool] = None

@@ -360,9 +360,9 @@ def cmd_lemma_check(args) -> int:
     cur = _load_curve(args)
     q = cur.ctx.q
     d = cur.degree
-    spec = analysis.line_spectrum(cur)
-    n = spec.N
     counts = analysis.count_points(cur)
+    spec = analysis.line_spectrum(cur, counts.points)
+    n = spec.N
     no_lin = counts.linear_component is None
     no_sing = not counts.rational_singular
     lines = q * q + q + 1

@@ -15,7 +15,8 @@ Codes below base.q are exactly the embedded base elements, so polynomials
 over the base can be reused over a tower without translation.  The coding
 and the raw arithmetic (_init_quotient) need no irreducible modulus, so
 locus codes its quotient rings GF(q)[y] / (u), u possibly reducible, the
-same way; _init_tower adds the irreducibility check and the tables.  Two
+same way; _init_tower adds the irreducibility check.  Every field of at
+most 256 elements, GF(p) included, tabulates add, mul, inv and neg.  Two
 field context classes differ only in how they are constructed:
 
   FiniteField(p, k, modulus)   -- GF(p^k), the degree-k tower over GF(p)
@@ -38,7 +39,7 @@ from typing import Optional, Sequence
 
 from . import unipoly
 
-# Multiplication/addition tables are built for towers up to this size.
+# Add, mul, inv and neg tables are built for every field up to this size.
 _TABLE_LIMIT = 256
 
 
@@ -73,10 +74,10 @@ class _FieldOps:
     ``base`` is None for the prime field GF(p), whose arithmetic is mod p.
     Otherwise the context is base[t] / (modulus) of degree ``m`` over its
     base and computes through the base's unchecked operations (table
-    lookups when the base has tables).  Towers of at most _TABLE_LIMIT
-    elements tabulate their own add, mul and inv.  The public operations
-    range-check their arguments with ``check``; the underscored ones trust
-    them.
+    lookups when the base has tables).  Every field of at most _TABLE_LIMIT
+    elements, prime or tower, tabulates its add, mul, inv and neg.  The
+    public operations range-check their arguments with ``check``; the
+    underscored ones (_add, _mul, _neg, _sub) trust them.
     """
 
     q: int
@@ -96,7 +97,7 @@ class _FieldOps:
         # t^m = sum_j _reduce[j] t^j in the quotient ring
         self._reduce = [base._neg(c) for c in self.modulus[:self.m]]
         self._towers = {}
-        self._add_t = self._mul_t = self._inv_t = None
+        self._add_t = self._mul_t = self._inv_t = self._neg_t = None
 
     def _init_tower(self, base: "_FieldOps", m: int, modulus: Optional[Sequence[int]]):
         """Set this context up as base[t] / (modulus), modulus monic
@@ -109,18 +110,22 @@ class _FieldOps:
                 raise ValueError(f"modulus {list(modulus)} is reducible over {base!r}")
         self._init_quotient(base, modulus)
         if self.q <= _TABLE_LIMIT:
-            # Tables from discrete logarithms: a b = g^(log a + log b) and
-            # a + b = a (1 + b/a), so raw arithmetic is needed only for the
-            # powers of a generator g and for the q sums 1 + x.
-            q, exp = self.q, self._generator_powers()
-            log = {x: i for i, x in enumerate(exp)}
-            exp2 = exp * 2
-            mul_t = self._mul_t = [exp2[log[a] + log[b]] if a and b else 0
-                                   for a in range(q) for b in range(q)]
-            inv_t = self._inv_t = [0] + [exp[-log[a]] for a in range(1, q)]
-            succ = [self._add_raw(1, x) for x in range(q)]
-            self._add_t = [mul_t[a * q + succ[mul_t[b * q + inv_t[a]]]] if a else b
-                           for a in range(q) for b in range(q)]
+            self._init_tables()
+
+    def _init_tables(self):
+        """Tables from discrete logarithms: a b = g^(log a + log b) and
+        a + b = a (1 + b/a), so raw arithmetic is needed only for the powers
+        of a generator g and for the q sums 1 + x.  -a = (char - 1) a."""
+        q, exp = self.q, self._generator_powers()
+        log = {x: i for i, x in enumerate(exp)}
+        exp2 = exp * 2
+        mul_t = self._mul_t = [exp2[log[a] + log[b]] if a and b else 0
+                               for a in range(q) for b in range(q)]
+        inv_t = self._inv_t = [0] + [exp[-log[a]] for a in range(1, q)]
+        succ = [self._add_raw(1, x) for x in range(q)]
+        self._add_t = [mul_t[a * q + succ[mul_t[b * q + inv_t[a]]]] if a else b
+                       for a in range(q) for b in range(q)]
+        self._neg_t = mul_t[(self.char - 1) * q:self.char * q]
 
     def _generator_powers(self) -> list[int]:
         """[g^0, ..., g^(q-2)] for the least code g of multiplicative order q-1."""
@@ -162,6 +167,8 @@ class _FieldOps:
         return self._undigits([add(x, y) for x, y in zip(self._digits(a), self._digits(b))])
 
     def _neg(self, a: int) -> int:
+        if self._neg_t is not None:
+            return self._neg_t[a]
         if self.base is None:
             return (-a) % self.q
         return self._undigits([self.base._neg(c) for c in self._digits(a)])
@@ -200,6 +207,9 @@ class _FieldOps:
         if self._mul_t is not None:
             return self._mul_t[a * self.q + b]
         return self._mul_raw(a, b)
+
+    def _sub(self, a: int, b: int) -> int:
+        return self._add(a, self._neg(b))
 
     # public arithmetic ------------------------------------------------
 
@@ -308,11 +318,13 @@ class FiniteField(_FieldOps):
         if k > 1:
             self._init_tower(FiniteField(p), k, modulus)
             return
-        # GF(p): the base case of every tower, computed mod p without tables
+        # GF(p): the base case of every tower, computed mod p
         self.base, self.m, self.q, self.char = None, 1, p, p
         self.modulus = (0, 1) if modulus is None else _checked_modulus(modulus, 1, p)
         self._towers = {}
-        self._add_t = self._mul_t = self._inv_t = None
+        self._add_t = self._mul_t = self._inv_t = self._neg_t = None
+        if p <= _TABLE_LIMIT:
+            self._init_tables()
 
     # serialization ------------------------------------------------------
 

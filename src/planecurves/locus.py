@@ -471,12 +471,13 @@ def _tri_exact_divide(ctx, terms_num, terms_den):
     return exact_divide(num, den).terms
 
 
-def decide_singular_locus(curve: PlaneCurve, enum_cap: int = 10 ** 6) -> LocusResult:
-    """Exact emptiness / minimal-degree decision for the singular locus."""
+def decide_singular_locus(curve: PlaneCurve, enum_cap: int = 10 ** 6, rational=None) -> LocusResult:
+    """Exact emptiness / minimal-degree decision for the singular locus;
+    ``rational`` is singular_rational_points(curve), when already known."""
     ctx = curve.ctx
     system = [curve.terms] + [p.terms for p in curve.partials() if p is not None]
     # cheap first: rational singular points double as degree-1 witnesses
-    rational = singular_rational_points(curve)
+    rational = singular_rational_points(curve) if rational is None else rational
     if rational:
         return LocusResult(False, 1, True, rational[0])
     tracker = _Tracker()

@@ -3,7 +3,11 @@
 Polynomials are lists of element codes, low degree first, normalized so
 the last entry is nonzero; [] is the zero polynomial.  Every function
 takes the field context as its first argument, so the same code serves
-GF(p), GF(p^k) and tower extensions.
+GF(p), GF(p^k) and tower extensions.  The arithmetic is unchecked
+(F._add, _mul, _neg, _sub): coefficients come from curves, points and
+moduli that PlaneCurve, the parsers, plane.normalize and the public context
+operations validated.  Inverses go through F.inv, which raises on zero and,
+in locus's quotient rings, on zero divisors.
 """
 
 from __future__ import annotations
@@ -27,12 +31,12 @@ def add(F, f, g):
     for i, c in enumerate(f):
         out[i] = c
     for i, c in enumerate(g):
-        out[i] = F.add(out[i], c)
+        out[i] = F._add(out[i], c)
     return trim(out)
 
 
 def neg(F, f):
-    return [F.neg(c) for c in f]
+    return [F._neg(c) for c in f]
 
 
 def sub(F, f, g):
@@ -42,7 +46,7 @@ def sub(F, f, g):
 def scale(F, c, f):
     if c == 0:
         return []
-    return trim([F.mul(c, x) for x in f])
+    return trim([F._mul(c, x) for x in f])
 
 
 def mul(F, f, g):
@@ -53,7 +57,7 @@ def mul(F, f, g):
         if a:
             for j, b in enumerate(g):
                 if b:
-                    out[i + j] = F.add(out[i + j], F.mul(a, b))
+                    out[i + j] = F._add(out[i + j], F._mul(a, b))
     return trim(out)
 
 
@@ -66,12 +70,12 @@ def divmod_(F, f, g):
     lead_inv = F.inv(g[-1])
     quo = [0] * max(0, len(f) - dg)
     while deg(f) >= dg and f:
-        c = F.mul(f[-1], lead_inv)
+        c = F._mul(f[-1], lead_inv)
         shift = deg(f) - dg
         quo[shift] = c
         for i, b in enumerate(g):
             if b:
-                f[shift + i] = F.sub(f[shift + i], F.mul(c, b))
+                f[shift + i] = F._sub(f[shift + i], F._mul(c, b))
         if f[-1]:  # only a wrong F.inv leaves it, and f would never shrink
             raise RuntimeError("polynomial division did not cancel the leading term")
         trim(f)
@@ -117,7 +121,7 @@ def xgcd(F, f, g):
 def eval_at(F, f, x):
     acc = 0
     for c in reversed(f):
-        acc = F.add(F.mul(acc, x), c)
+        acc = F._add(F._mul(acc, x), c)
     return acc
 
 
@@ -137,14 +141,14 @@ def interpolate(F, xs, ys):
     """Lagrange interpolation through distinct xs (quadratic time)."""
     master = [1]
     for xi in xs:
-        master = mul(F, master, [F.neg(xi), 1])
+        master = mul(F, master, [F._neg(xi), 1])
     result: list[int] = []
     for xi, yi in zip(xs, ys):
-        num, rem = divmod_(F, master, [F.neg(xi), 1])
+        num, rem = divmod_(F, master, [F._neg(xi), 1])
         if rem:
             raise RuntimeError("interpolation nodes must be roots of the master")
         denom = eval_at(F, num, xi)
-        result = add(F, result, scale(F, F.mul(yi, F.inv(denom)), num))
+        result = add(F, result, scale(F, F._mul(yi, F.inv(denom)), num))
     return result
 
 
@@ -155,7 +159,7 @@ def resultant(F, f, g):
     res = 1
     while True:
         if deg(g) == 0:
-            return F.mul(res, F.pow(g[0], deg(f)))
+            return F._mul(res, F.pow(g[0], deg(f)))
         r = mod(F, f, g)
         if not r:
             return 0
@@ -163,8 +167,8 @@ def resultant(F, f, g):
         sign_flips = deg(f) * deg(g)
         factor = F.pow(g[-1], deg(f) - deg(r))
         if sign_flips % 2 == 1:
-            factor = F.neg(factor)
-        res = F.mul(res, factor)
+            factor = F._neg(factor)
+        res = F._mul(res, factor)
         f, g = g, r
 
 

@@ -1,8 +1,9 @@
+import json
 import random
 
 import pytest
 
-from planecurves import analysis, plane
+from planecurves import analysis, cli, plane
 from planecurves.analysis import INFINITE
 from planecurves.bounds import bound_verdicts
 from planecurves.catalog import catalog_curve, exceptional_quartic
@@ -271,16 +272,18 @@ def test_one_scan_classification_matches_oracles():
     assert singular >= 28 and linear >= 28
 
 
-def test_each_analysis_scans_the_plane_once(monkeypatch, gf5):
+def test_each_analysis_scans_the_plane_once(monkeypatch, gf5, tmp_path, capsys):
     """count_points and line_spectrum evaluate F once per point of the
-    plane; bound_verdicts stays below three scans."""
+    plane; bound_verdicts and cli lemma-check stay below two scans."""
     rng = random.Random(55)
     cur = random_curve(gf5, 4, rng)
+    path = tmp_path / "quartic.curve"
+    path.write_text(cur.to_text())
     calls = []
     original = PlaneCurve.evaluate
 
     def counted(self, point):
-        if self is cur:
+        if self == cur:  # lemma-check loads its own copy of the curve
             calls.append(point)
         return original(self, point)
 
@@ -292,4 +295,26 @@ def test_each_analysis_scans_the_plane_once(monkeypatch, gf5):
         assert len(calls) == points, run.__name__
     calls.clear()
     bound_verdicts(cur)
-    assert len(calls) < 3 * points
+    assert len(calls) < 2 * points
+    calls.clear()
+    assert cli.main(["lemma-check", "--curve", str(path), "--no-timestamp"]) == 0
+    assert len(calls) < 2 * points
+    assert json.loads(capsys.readouterr().out)["N"] == analysis.count_points(cur).N
+
+
+def test_handed_over_points_give_the_same_results():
+    """The points count_points already has, handed to line_spectrum and the
+    locus decision, change nothing against recomputing them."""
+    rng = random.Random(56)
+    cases = [random_curve(field_for(q), d, rng) for q in (3, 4, 5, 7) for d in (2, 3, 4)]
+    cases += random_singular_instances(field_for(5), 3, (0, 0, 1), 6, seed=3)
+    singular = 0
+    for cur in cases:
+        counts = analysis.count_points(cur)
+        spec = analysis.line_spectrum(cur, counts.points)
+        assert spec == analysis.line_spectrum(cur)
+        m = analysis.certificate_budget(cur.degree)
+        given = analysis.is_geometrically_nonsingular(cur, m, rational=counts.rational_singular)
+        assert given == analysis.is_geometrically_nonsingular(cur, m)
+        singular += bool(counts.rational_singular)
+    assert singular >= 6

@@ -1,11 +1,12 @@
 import itertools
+import random
 
 import pytest
 
 from planecurves import unipoly
 from planecurves.catalog import exceptional_quartic
 from planecurves.curve import lift_curve
-from planecurves.field import ExtensionField, FiniteField
+from planecurves.field import ExtensionField, FiniteField, _FieldOps
 from planecurves.plane import enumerate_points
 
 
@@ -172,7 +173,7 @@ def test_find_irreducible_is_lex_smallest():
 
 
 class _WrongInverseGF5:
-    """GF(5) whose inv is off by a factor of 2.  mul and sub fail the test
+    """GF(5) whose inv is off by a factor of 2.  _mul and _sub fail the test
     after 10^4 calls, so a division that never terminates shows up fast."""
 
     def __init__(self):
@@ -185,11 +186,11 @@ class _WrongInverseGF5:
     def inv(self, a):
         return 2 * pow(a, 3, 5) % 5
 
-    def mul(self, a, b):
+    def _mul(self, a, b):
         self._tick()
         return a * b % 5
 
-    def sub(self, a, b):
+    def _sub(self, a, b):
         self._tick()
         return (a - b) % 5
 
@@ -197,3 +198,35 @@ class _WrongInverseGF5:
 def test_divmod_fails_loudly_on_a_wrong_inverse():
     with pytest.raises(RuntimeError, match="leading term"):
         unipoly.divmod_(_WrongInverseGF5(), [1, 2, 3, 4], [1, 1])
+
+
+@pytest.mark.parametrize("field", [(13, 1, 1), (2, 2, 3)], ids=["GF(13)", "GF(4)^3"])
+def test_unipoly_trusts_its_inputs(monkeypatch, field):
+    """unipoly computes with the unchecked operations: its coefficients were
+    validated where they entered, so only inverses and powers check."""
+    p, k, m = field
+    F = FiniteField(p, k) if m == 1 else ExtensionField(FiniteField(p, k), m)
+    rng = random.Random(13)
+
+    def monic_poly(degree):
+        return [rng.randrange(F.q) for _ in range(degree)] + [1]
+
+    f, g, h = monic_poly(12), monic_poly(7), monic_poly(5)
+    calls = []
+    original = _FieldOps.check
+
+    def counted(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(_FieldOps, "check", counted)
+    pieces, leftover = unipoly.distinct_degree_pieces(F, f)
+    assert len(calls) < 500
+    assert leftover == 0 and sum(unipoly.deg(piece) for piece in pieces.values()) <= 12
+    assert all(unipoly.deg(piece) % e == 0 for e, piece in pieces.items())
+    calls.clear()
+    d, u, v = unipoly.xgcd(F, g, h)
+    res = unipoly.resultant(F, g, h)
+    assert len(calls) < 500
+    assert unipoly.add(F, unipoly.mul(F, u, g), unipoly.mul(F, v, h)) == d
+    assert (res == 0) == (unipoly.deg(d) >= 1)

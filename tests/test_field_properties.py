@@ -1,8 +1,10 @@
 """Property tests of field arithmetic over many fields.
 
-Fields are prime fields, GF(p^k) with q up to 2^10 and two-level towers;
-above 256 elements there are no tables, so the raw tower arithmetic runs.
-Example counts are fixed and derandomized so the suite replays exactly.
+Fields are prime fields, GF(p^k) with q up to 2^10 and two-level towers.
+Every field of at most 256 elements, GF(p) included, computes from tables;
+above that the raw arithmetic runs (mod p, or through the base for a
+tower).  Example counts are fixed and derandomized so the suite replays
+exactly.
 """
 
 import functools
@@ -17,6 +19,8 @@ PRIMES = (2, 3, 5, 7, 11, 13, 17)
 Q_MAX = 2 ** 10
 
 PINNED = {
+    "GF(251)": (251, 1, 1),  # the largest tabled prime field
+    "GF(257)": (257, 1, 1),  # untabled: computed mod p
     "GF(3^6)": (3, 6, 1),
     "GF(2^9)": (2, 9, 1),
     "GF(17^2)": (17, 2, 1),
@@ -79,6 +83,29 @@ def test_field_axioms(name, data):
     assert F.pow(a, F.q) == a
     if a:
         assert F.mul(a, F.inv(a)) == 1 and F.div(F.mul(a, b), a) == b
+
+
+@pytest.mark.parametrize("name", FIELD_NAMES)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_unchecked_operations_equal_checked(name, data):
+    F = _draw_field(name, data)
+    a, b = (data.draw(st.integers(0, F.q - 1), label=n) for n in "ab")
+    assert F._add(a, b) == F.add(a, b) and F._mul(a, b) == F.mul(a, b)
+    assert F._neg(a) == F.neg(a) and F._sub(a, b) == F.sub(a, b)
+
+
+@pytest.mark.parametrize("p", [2, 3, 13, 251, 257])
+def test_prime_field_tables_are_arithmetic_mod_p(p):
+    F = _field(p, 1)
+    if p > 256:
+        assert F._add_t is F._mul_t is F._inv_t is F._neg_t is None
+        return
+    pairs = [(a, b) for a in range(p) for b in range(p)]
+    assert F._add_t == [(a + b) % p for a, b in pairs]
+    assert F._mul_t == [a * b % p for a, b in pairs]
+    assert F._neg_t == [-a % p for a in range(p)]
+    assert F._inv_t == [0] + [pow(a, p - 2, p) for a in range(1, p)]
 
 
 @pytest.mark.parametrize("name", FIELD_NAMES)
