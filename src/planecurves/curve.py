@@ -42,7 +42,14 @@ def _pascal(p: int, rows: int) -> tuple[tuple[int, ...], ...]:
 
 
 class PlaneCurve:
-    """A plane projective curve F(X, Y, Z) = 0 of degree d >= 1."""
+    """A plane projective curve F(X, Y, Z) = 0 of degree d >= 1.
+
+    Instances have no __dict__, and a term key that already is a plain
+    tuple is kept as given: curves built from the shared ``monomials(d)``
+    triples (every search witness) store no exponent tuples of their own.
+    """
+
+    __slots__ = ("ctx", "degree", "terms")
 
     def __init__(self, ctx, degree: int, terms: dict):
         # degree 0 (a nonzero constant) is allowed so that partial
@@ -59,7 +66,7 @@ class PlaneCurve:
                 )
             ctx.check(coeff)
             if coeff:
-                clean[(i, j, k)] = coeff
+                clean[exps if type(exps) is tuple else (i, j, k)] = coeff
         if not clean:
             raise ValueError("a curve needs at least one nonzero term")
         self.ctx = ctx

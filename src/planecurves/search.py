@@ -8,9 +8,12 @@ Batches are handled by one exact kernel for every q = p^k: a coefficient
 becomes its k base-p digits and a GF(q) value v the k x k GF(p) matrix of
 multiplication by v, so evaluating a batch at every point, restricting it
 to every line, or combining basis vectors is one float64 matmul reduced
-mod p.  The linear-component filter is read off the point counts.  The
-witnesses a record keeps (at most witness_cap) are re-verified through the
-exact element-wise path before they enter it.
+mod p.  The linear-component filter is read off the point counts.  An
+engine's tables depend only on (field, degree, filter), so a small bounded
+cache reuses them across searches.  The witnesses a record keeps (at most
+witness_cap) are re-verified before they enter it, all in one call of
+count_exact: an element-wise count from the field's tables that shares no
+table with the engine.
 
 Records carry the seed, the generator identifier and the full parameters,
 so a run can be replayed bit for bit.
@@ -20,11 +23,12 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from . import analysis, linalg, plane
+from . import linalg, plane
 from .curve import PlaneCurve, has_linear_component, monomials, restriction_map
 
 GENERATOR_ID = "numpy-pcg64"
@@ -179,11 +183,49 @@ class _Engine:
         return flags
 
 
-def count_exact(ctx, degree: int, coeff_row) -> int:
-    """Element-wise counter used to re-verify engine results."""
-    terms = {m: int(c) for m, c in zip(monomials(degree), coeff_row) if c}
-    cur = PlaneCurve(ctx, degree, terms)
-    return len(analysis.rational_points(cur))
+@lru_cache(maxsize=8)
+def _engine(ctx, degree: int, with_linear_flags: bool) -> _Engine:
+    """The engine for one (field, degree, filter), reused across searches:
+    its tables depend on nothing else.  Equal contexts share it."""
+    return _Engine(ctx, degree, with_linear_flags)
+
+
+def count_exact(ctx, degree: int, rows) -> list[int]:
+    """Rational point count of each coefficient row, computed element by
+    element: the re-verification of engine counts.
+
+    It shares nothing with _Engine but the field: each code is checked
+    once, then one pass over the plane computes every monomial's value at
+    a point from the field's tables and takes each row's dot product
+    against those values.
+    """
+    q = ctx.q
+    if q > _Q_MAX:
+        raise ValueError(f"count_exact needs q <= {_Q_MAX} (a tabled field), got q = {q}")
+    monos = monomials(degree)
+    terms = []
+    for row in rows:
+        codes = [ctx.check(int(c)) for c in row]
+        if len(codes) != len(monos) or not any(codes):
+            raise ValueError(f"a row needs {len(monos)} codes, not all zero")
+        terms.append([(i, c * q) for i, c in enumerate(codes) if c])
+    if not terms:
+        return []
+    add, mul = ctx._add_t, ctx._mul_t
+    counts = [0] * len(terms)
+    for point in plane.enumerate_points(ctx):
+        xs, ys, zs = ([1] * (degree + 1) for _ in range(3))
+        for pows, c in zip((xs, ys, zs), point):
+            for e in range(degree):
+                pows[e + 1] = mul[pows[e] * q + c]
+        values = [mul[xs[i] * q + mul[ys[j] * q + zs[k]]] for i, j, k in monos]
+        for r, row in enumerate(terms):
+            acc = 0
+            for i, cq in row:
+                acc = add[acc * q + mul[cq + values[i]]]
+            if not acc:
+                counts[r] += 1
+    return counts
 
 
 def _exhaustive_chunks(q: int, n_monos: int, chunk: int):
@@ -221,7 +263,7 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchRecord:
     if q > _Q_MAX:
         raise ValueError(f"searches need q <= {_Q_MAX} (rows are uint8 codes), got q = {q}")
     n_monos = task.n_monomials()
-    engine = _Engine(ctx, task.degree, task.require_no_linear_component)
+    engine = _engine(ctx, task.degree, task.require_no_linear_component)
     record = SearchRecord(
         q=q,
         degree=task.degree,
@@ -320,15 +362,15 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchRecord:
         elif best == record.best_N and len(best_rows) < task.witness_cap:
             best_rows.extend(rows[: task.witness_cap - len(best_rows)])
 
-    for row in best_rows[: task.witness_cap]:
-        verified = count_exact(ctx, task.degree, row)
-        if verified != record.best_N:
-            raise RuntimeError(
-                f"witness re-verification failed: engine said {record.best_N}, "
-                f"exact count is {verified}"
-            )
-        terms = {m: int(c) for m, c in zip(monomials(task.degree), row) if c}
-        record.witnesses.append(PlaneCurve(ctx, task.degree, terms))
+    verified = count_exact(ctx, task.degree, best_rows)
+    if verified != [record.best_N] * len(best_rows):
+        raise RuntimeError(
+            f"witness re-verification failed: engine said {record.best_N} for "
+            f"{len(best_rows)} witnesses, exact counts are {verified}"
+        )
+    monos = monomials(task.degree)
+    record.witnesses = [PlaneCurve(ctx, task.degree, {m: int(c) for m, c in zip(monos, row) if c})
+                        for row in best_rows]
     return record
 
 

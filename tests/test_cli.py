@@ -196,7 +196,7 @@ def test_timestamp_present_by_default(capsys):
 def test_internal_invariant_failure_is_one_line(capsys, monkeypatch):
     from planecurves import search
 
-    monkeypatch.setattr(search, "count_exact", lambda ctx, degree, row: -1)
+    monkeypatch.setattr(search, "count_exact", lambda ctx, degree, rows: [-1] * len(rows))
     code, _, err = run_cli(
         capsys, "search", "--field", "p=2,k=1", "--degree", "2",
         "--mode", "exhaustive", "--no-timestamp",

@@ -1,10 +1,12 @@
+import gc
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from planecurves import analysis, plane
+from planecurves import analysis, plane, search
 from planecurves.curve import PlaneCurve, curve_mul, has_linear_component, monomials
 from planecurves.field import FiniteField
 from planecurves.search import (
@@ -87,7 +89,7 @@ def _check_engine_rows(ctx, d, engine, batch):
     flags = engine.linear_flags(batch, on)
     pl = plane.get_plane(ctx)
     for row, n, members, flag in zip(batch, counts, on, flags):
-        assert count_exact(ctx, d, row) == n
+        assert count_exact(ctx, d, [row]) == [n]
         terms = {m: int(c) for m, c in zip(monomials(d), row) if c}
         cur = PlaneCurve(ctx, d, terms)
         assert set(np.nonzero(members)[0]) == {
@@ -260,3 +262,126 @@ def test_constrained_random_mode_matches_instances():
     for witness in record.witnesses:
         assert (0, 0, 1) in analysis.singular_rational_points(witness)
     assert record.best_N <= (4 - 1) * 5
+
+
+def _gf8_cubic_task(**kwargs):
+    """The random GF(8) d=3 search whose 64 witnesses the memory tests keep."""
+    return SearchTask(ctx=field_for(8), degree=3, mode="random", seed=11, n_samples=4096,
+                      require_no_linear_component=True, **kwargs)
+
+
+def test_reverification_catches_a_miscounting_engine(monkeypatch):
+    counts = _Engine.counts
+
+    def off_by_one(self, coeffs):
+        n, on = counts(self, coeffs)
+        return n + 1, on
+
+    monkeypatch.setattr(_Engine, "counts", off_by_one)
+    with pytest.raises(RuntimeError, match="re-verification failed"):
+        run_search(_gf8_cubic_task(witness_cap=4))
+
+
+def test_reverification_checks_every_kept_witness(monkeypatch):
+    task = _gf8_cubic_task(witness_cap=4)
+    assert len(run_search(task).witnesses) == 4
+    real = search.count_exact
+
+    def last_row_wrong(ctx, degree, rows):
+        out = real(ctx, degree, rows)
+        out[-1] += 1
+        return out
+
+    monkeypatch.setattr(search, "count_exact", last_row_wrong)
+    with pytest.raises(RuntimeError, match="re-verification failed"):
+        run_search(task)
+
+
+@pytest.fixture
+def engine_builds(monkeypatch):
+    """The arguments of every _Engine built, starting from an empty cache."""
+    search._engine.cache_clear()
+    builds = []
+    init = _Engine.__init__
+
+    def counted(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(_Engine, "__init__", counted)
+    yield builds
+    search._engine.cache_clear()
+
+
+def test_searches_with_the_same_key_share_one_engine(engine_builds):
+    task = SearchTask(ctx=FiniteField(2, 2), degree=3, mode="random", seed=5,
+                      n_samples=500, require_no_linear_component=True)
+    first = run_search(task).to_json_dict()
+    assert run_search(task).to_json_dict() == first
+    # an equal but distinct field object is the same key
+    other = SearchTask(ctx=FiniteField(2, 2), degree=3, mode="random", seed=6,
+                       n_samples=500, require_no_linear_component=True)
+    run_search(other)
+    assert len(engine_builds) == 1
+    # the filter is part of the key
+    run_search(SearchTask(ctx=FiniteField(2, 2), degree=3, mode="random", seed=5, n_samples=500))
+    assert len(engine_builds) == 2
+
+
+def test_engine_cache_is_bounded(engine_builds):
+    maxsize = search._engine.cache_info().maxsize
+    ctx = field_for(2)
+    tasks = [SearchTask(ctx=ctx, degree=d, mode="random", seed=1, n_samples=50)
+             for d in range(1, maxsize + 2)]
+    for task in tasks:
+        run_search(task)
+    assert len(engine_builds) == maxsize + 1
+    assert search._engine.cache_info().currsize == maxsize
+    run_search(tasks[-1])  # still cached
+    assert len(engine_builds) == maxsize + 1
+    run_search(tasks[0])  # the oldest key was evicted
+    assert len(engine_builds) == maxsize + 2
+
+
+def test_warm_engine_records_equal_cold_ones(engine_builds):
+    tasks = [_gf8_cubic_task(witness_cap=8),
+             SearchTask(ctx=field_for(9), degree=3, mode="constrained_random", seed=3,
+                        n_samples=400, require_no_linear_component=True,
+                        singular_at=(0, 0, 1)),
+             SearchTask(ctx=field_for(2), degree=4, mode="exhaustive",
+                        require_no_linear_component=True)]
+    warm = [run_search(t).to_json_dict() for t in tasks]
+    assert [run_search(t).to_json_dict() for t in tasks] == warm
+    search._engine.cache_clear()
+    assert [run_search(t).to_json_dict() for t in tasks] == warm
+    assert len(engine_builds) == 2 * len(tasks)
+
+
+def test_witnesses_are_compact():
+    """Witness curves carry no __dict__ and share the monomials(d) triples
+    as their term keys."""
+    record = run_search(_gf8_cubic_task())
+    assert len(record.witnesses) == 64
+    monos = {id(m) for m in monomials(3)}
+    for witness in record.witnesses:
+        assert not hasattr(witness, "__dict__")
+        assert all(id(key) in monos for key in witness.terms)
+
+
+def test_search_record_memory_budget():
+    """The memory a record with 64 witness curves keeps: about 28 KB with
+    compact witnesses, about 67 KB when every curve holds a __dict__ and its
+    own exponent tuples (tracemalloc, CPython 3.11)."""
+    task = _gf8_cubic_task()
+    run_search(task)  # the plane and the engine are cached, not retained
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        record = run_search(task)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(record.witnesses) == 64
+    assert retained < 32_000
