@@ -1,6 +1,14 @@
 """Exact computation on plane projective curves over finite fields:
 point counting, singularity analysis, line spectra, extremal point-count
-bounds, a catalog of equality cases, and coefficient-space search."""
+bounds, a catalog of equality cases, and coefficient-space search.
+
+The search names (``SearchRecord``, ``SearchTask``,
+``random_singular_instances``, ``run_search`` and the ``search`` module)
+are loaded on first access, because ``search`` is the only module that
+imports numpy: importing the package, and every other operation, runs
+without it."""
+
+from importlib import import_module as _import_module
 
 from .analysis import (
     INFINITE,
@@ -48,6 +56,26 @@ from .plane import (
     meet,
     normalize,
 )
-from .search import SearchRecord, SearchTask, random_singular_instances, run_search
 
 __version__ = "0.1.0"
+
+_SEARCH_NAMES = ("SearchRecord", "SearchTask", "random_singular_instances", "run_search")
+
+__all__ = sorted(
+    [name for name in globals() if not name.startswith("_")] + ["search", *_SEARCH_NAMES]
+)
+
+
+def __getattr__(name):
+    if name != "search" and name not in _SEARCH_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # import_module, not "from . import search": the latter asks this
+    # function for "search" again before it imports anything.
+    search = _import_module(f"{__name__}.search")
+    value = search if name == "search" else getattr(search, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -15,7 +15,7 @@ import json
 import sys
 from datetime import datetime, timezone
 
-from . import analysis, bounds, catalog, plane, search
+from . import analysis, bounds, catalog, plane
 from .curve import PlaneCurve
 from .field import FiniteField
 
@@ -319,6 +319,8 @@ def cmd_verify_catalog(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from . import search  # imports numpy, which no other command needs
+
     ctx = _parse_field_flag(args.field)
     mode = args.mode.replace("-", "_")
     singular_at = None

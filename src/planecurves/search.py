@@ -262,8 +262,13 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchRecord:
     q = ctx.q
     if q > _Q_MAX:
         raise ValueError(f"searches need q <= {_Q_MAX} (rows are uint8 codes), got q = {q}")
+    if task.degree < 0:
+        raise ValueError(f"degree must be >= 0, got {task.degree}")
+    if task.witness_cap < 0:
+        raise ValueError(f"witness_cap must be >= 0, got {task.witness_cap}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     n_monos = task.n_monomials()
-    engine = _engine(ctx, task.degree, task.require_no_linear_component)
     record = SearchRecord(
         q=q,
         degree=task.degree,
@@ -296,6 +301,8 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchRecord:
     elif task.mode in ("random", "constrained_random"):
         if task.seed is None or task.n_samples is None:
             raise ValueError("random modes need a seed and a sample count")
+        if task.n_samples < 1:
+            raise ValueError(f"random modes need at least one sample, got {task.n_samples}")
         if task.n_samples > task.budget:
             raise ValueError("sample count exceeds the budget")
         nullbasis = None
@@ -320,6 +327,8 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchRecord:
 
     else:
         raise ValueError(f"unknown search mode {task.mode!r}")
+
+    engine = _engine(ctx, task.degree, task.require_no_linear_component)
 
     def process(block):
         coeffs = produce(block)

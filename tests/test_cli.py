@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from planecurves.cli import main
 from planecurves.catalog import exceptional_quartic
 
@@ -158,6 +160,19 @@ def test_search_random_missing_seed(capsys):
         capsys, "search", "--field", "p=2,k=1", "--degree", "2", "--mode", "random",
     )
     assert code == 1 and "seed" in err
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--degree", "-1"], "degree must be >= 0"),
+    (["--degree", "3", "--mode", "random", "--seed", "1", "--samples", "0"],
+     "at least one sample"),
+    (["--degree", "2", "--witness-cap", "-1"], "witness_cap must be >= 0"),
+    (["--degree", "2", "--workers", "0"], "workers must be >= 1"),
+], ids=["negative-degree", "no-samples", "negative-witness-cap", "zero-workers"])
+def test_search_refuses_invalid_parameters(capsys, extra, message):
+    code, out, err = run_cli(capsys, "search", "--field", "p=3,k=1", *extra, "--no-timestamp")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 def test_lemma_check_pass_and_gate(capsys):

@@ -74,6 +74,25 @@ def test_random_requires_seed_and_samples():
         run_search(SearchTask(ctx=field_for(2), degree=2, mode="random"))
 
 
+@pytest.mark.parametrize("changes,workers,match", [
+    ({"degree": -1}, 1, "degree must be >= 0"),
+    ({"mode": "random", "seed": 1, "n_samples": 0}, 1, "at least one sample"),
+    ({"mode": "constrained_random", "seed": 1, "n_samples": -2, "singular_at": (0, 0, 1)},
+     1, "at least one sample"),
+    ({"witness_cap": -1}, 1, "witness_cap must be >= 0"),
+    ({}, 0, "workers must be >= 1"),
+    ({}, -1, "workers must be >= 1"),
+], ids=["negative-degree", "no-samples", "negative-samples", "negative-witness-cap",
+        "zero-workers", "negative-workers"])
+def test_invalid_search_parameters_refused(engine_builds, changes, workers, match):
+    """Refused before any engine is built; exhaustive GF(3) conics would
+    otherwise find 35 witnesses."""
+    task = SearchTask(**{"ctx": field_for(3), "degree": 2, "mode": "exhaustive", **changes})
+    with pytest.raises(ValueError, match=match):
+        run_search(task, workers=workers)
+    assert engine_builds == []
+
+
 def _rows_with_linear_factor(ctx, d, n, rng):
     """Coefficient rows of (random line) * (random degree-(d-1) form)."""
     rows = []
