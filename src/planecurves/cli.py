@@ -40,16 +40,20 @@ def _parse_field_flag(text: str) -> FiniteField:
     return FiniteField.from_spec(spec)
 
 
+def _parse_catalog_params(pieces) -> dict:
+    """Catalog parameters from "name=value" pieces."""
+    params = {}
+    for piece in pieces:
+        key, eq, val = piece.partition("=")
+        if not eq:
+            raise ValueError(f"bad catalog parameter {piece!r}")
+        params[key.strip()] = int(val)
+    return params
+
+
 def _parse_catalog_flag(text: str):
     name, _, params_text = text.partition(":")
-    params = {}
-    if params_text:
-        for piece in params_text.split(","):
-            key, eq, val = piece.partition("=")
-            if not eq:
-                raise ValueError(f"bad catalog parameter {piece!r}")
-            params[key.strip()] = int(val)
-    return name, params
+    return name, _parse_catalog_params(params_text.split(",") if params_text else [])
 
 
 def _load_curve(args) -> PlaneCurve:
@@ -294,13 +298,7 @@ def cmd_catalog(args) -> int:
     if not args.field:
         raise ValueError("--emit needs --field")
     ctx = _parse_field_flag(args.field)
-    params = {}
-    for piece in args.param:
-        key, eq, val = piece.partition("=")
-        if not eq:
-            raise ValueError(f"bad --param {piece!r}")
-        params[key.strip()] = int(val)
-    cur = catalog.catalog_curve(args.emit, ctx, **params)
+    cur = catalog.catalog_curve(args.emit, ctx, **_parse_catalog_params(args.param))
     sys.stdout.write(cur.to_text())
     return 0
 

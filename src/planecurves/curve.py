@@ -5,6 +5,8 @@ to the degree and all coefficients nonzero.  A BinaryForm is the
 restriction of a curve to a parameterized line, stored densely.  The zero
 polynomial is represented by None wherever an operation can collapse
 (partials, frobenius_form); PlaneCurve itself always has a nonzero term.
+Divisibility (divides, exact_divide) is division by the leading term in
+lexicographic order, over the curves' own field.
 """
 
 from __future__ import annotations
@@ -402,108 +404,52 @@ def lift_curve(f: PlaneCurve, ext: ExtensionField) -> PlaneCurve:
     return PlaneCurve(ext, f.degree, dict(f.terms))
 
 
-def _monicizing_transform(f: PlaneCurve):
-    """A matrix M (possibly over a tower extension) making f monic in Z.
+def _divide(f: PlaneCurve, g: PlaneCurve) -> Optional[dict]:
+    """The quotient terms of g / f, or None when f does not divide g.
 
-    Searches rational points first, then points over GF(q^m) for
-    m = 2, 3, ... for a point where f does not vanish; deterministic.
-    Returns (curve_over_that_field, M, field).
+    Division by the leading term in lexicographic order: each step cancels
+    the remainder's largest term with a multiple of f.  A remainder whose
+    largest monomial is not a multiple of f's leading monomial is not a
+    multiple of f, so neither is g.  Exact over f's own field.
     """
     ctx = f.ctx
-    m = 1
-    while True:
-        field = ctx if m == 1 else ctx.extension(m)
-        cur = f if m == 1 else lift_curve(f, field)
-        for point in plane.enumerate_points(field):
-            if cur.evaluate(point) != 0:
-                mat = _basis_with_third_column(field, point)
-                return cur, mat, field
-        m += 1
-
-
-def _basis_with_third_column(ctx, point):
-    """An invertible matrix whose third column is the given point."""
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            cols = [[0, 0, 0], [0, 0, 0], list(point)]
-            cols[0][i] = 1
-            cols[1][j] = 1
-            mat = tuple(tuple(cols[c][r] for c in range(3)) for r in range(3))
-            if linalg.mat_inv(ctx, mat) is not None:
-                return mat
-    raise RuntimeError("unreachable: point cannot be extended to a basis")
-
-
-def _z_divmod(ctx, num: dict, den: dict, den_zdeg: int, lead_inv: int):
-    """Sparse division by a polynomial monic in Z (unit leading Z-coeff)."""
-    rem = dict(num)
+    lead = max(f.terms)
+    lead_inv = ctx.inv(f.terms[lead])
+    rest = [(e, c) for e, c in f.terms.items() if e != lead]
+    rem = dict(g.terms)
     quo: dict[Exponents, int] = {}
-    while True:
-        cand = None
-        for exps in rem:
-            if exps[2] >= den_zdeg and (cand is None or exps[2] > cand[2]):
-                cand = exps
-        if cand is None:
-            break
-        c = ctx.mul(rem[cand], lead_inv)
-        qexp = (cand[0], cand[1], cand[2] - den_zdeg)
+    while rem:
+        top = max(rem)
+        qexp = (top[0] - lead[0], top[1] - lead[1], top[2] - lead[2])
+        if min(qexp) < 0:
+            return None
+        c = ctx._mul(rem.pop(top), lead_inv)
         quo[qexp] = c
-        for dexp, dc in den.items():
-            key = (qexp[0] + dexp[0], qexp[1] + dexp[1], qexp[2] + dexp[2])
-            cur = ctx.sub(rem.get(key, 0), ctx.mul(c, dc))
+        for (i, j, k), fc in rest:
+            key = (qexp[0] + i, qexp[1] + j, qexp[2] + k)
+            cur = ctx._sub(rem.get(key, 0), ctx._mul(c, fc))
             if cur:
                 rem[key] = cur
             else:
                 rem.pop(key, None)
-    return quo, rem
+    return quo
 
 
 def divides(f: PlaneCurve, g: PlaneCurve) -> bool:
-    """True iff f divides g in the trivariate polynomial ring.
-
-    Works by a projective change of coordinates that makes f monic in Z
-    (divisibility is invariant under equivalence and stable under field
-    extension), followed by univariate-in-Z remainder over the bivariate
-    coefficient ring.
-    """
+    """True iff f divides g in the trivariate polynomial ring."""
     if f.ctx != g.ctx:
         raise ValueError("context mismatch in divides")
-    if g.degree < f.degree:
-        return False
-    fm, mat, field = _monicizing_transform(f)
-    gm = g if field is g.ctx else lift_curve(g, field)
-    ft = fm.transform(mat)
-    gt = gm.transform(mat)
-    lead = ft.terms[(0, 0, f.degree)]
-    _, rem = _z_divmod(field, gt.terms, ft.terms, f.degree, field.inv(lead))
-    return not rem
+    return _divide(f, g) is not None
 
 
 def exact_divide(g: PlaneCurve, f: PlaneCurve) -> PlaneCurve:
     """The quotient g / f; raises ValueError if f does not divide g."""
     if f.ctx != g.ctx:
         raise ValueError("context mismatch in exact_divide")
-    fm, mat, field = _monicizing_transform(f)
-    gm = g if field is g.ctx else lift_curve(g, field)
-    ft = fm.transform(mat)
-    gt = gm.transform(mat)
-    lead = ft.terms[(0, 0, f.degree)]
-    quo, rem = _z_divmod(field, gt.terms, ft.terms, f.degree, field.inv(lead))
-    if rem or not quo:
+    quo = _divide(f, g)
+    if quo is None:
         raise ValueError("exact_divide: not divisible")
-    quo_curve = PlaneCurve(field, g.degree - f.degree, quo)
-    inv_mat = linalg.mat_inv(field, mat)
-    back = quo_curve.transform(inv_mat)
-    if field is g.ctx:
-        return back
-    terms = {}
-    for exps, c in back.terms.items():
-        if c >= g.ctx.q:
-            raise RuntimeError("quotient did not descend to the base field")
-        terms[exps] = c
-    return PlaneCurve(g.ctx, g.degree - f.degree, terms)
+    return PlaneCurve(g.ctx, g.degree - f.degree, quo)
 
 
 def rational_points(curve: PlaneCurve) -> tuple:

@@ -23,8 +23,8 @@ field context classes differ only in how they are constructed:
                                   (GF(p) itself for k = 1); the context
                                   used by the public API.
   ExtensionField(base, m, mod) -- GF(q^m) as a tower over any context,
-                                  used internally for singularity and
-                                  divisibility work.  ctx.extension(m)
+                                  used internally for singularity
+                                  work.  ctx.extension(m)
                                   builds each default tower once per
                                   context.
 

@@ -281,7 +281,7 @@ def _restrict_line_case(ctx, system, line, tracker):
         if unipoly.deg(g) == 0:
             return
     if unipoly.deg(g) >= 1:
-        pieces, _ = unipoly.distinct_degree_pieces(ctx, g)
+        pieces = unipoly.distinct_degree_pieces(ctx, g)
         for e in pieces:
             tracker.record(e)
 
@@ -343,7 +343,7 @@ def _chart_candidates(ctx, system, terms_a, terms_b, tracker):
         raise RuntimeError("coprime pair eliminated to the zero polynomial")
     if unipoly.deg(r) == 0:
         return
-    pieces, _ = unipoly.distinct_degree_pieces(ctx, r)
+    pieces = unipoly.distinct_degree_pieces(ctx, r)
     chart_all = [_grouped(ctx, terms, 2, 1) for terms in system]
     for e, piece in pieces.items():
         worklist = [piece]
@@ -414,7 +414,7 @@ def _curve_min_degree(ctx, terms, tracker, enum_cap):
         if form.is_zero():
             tracker.record(1)
             return True
-        pieces, _ = unipoly.distinct_degree_pieces(ctx, form.dehomogenized())
+        pieces = unipoly.distinct_degree_pieces(ctx, form.dehomogenized())
         if form.coeffs[form.degree] == 0:
             pieces.setdefault(1, [0, 1])
         if pieces:

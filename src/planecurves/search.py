@@ -268,6 +268,8 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchRecord:
         raise ValueError(f"witness_cap must be >= 0, got {task.witness_cap}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if task.singular_at is not None and task.mode != "constrained_random":
+        raise ValueError("singular_at is for constrained_random searches only")
     n_monos = task.n_monomials()
     record = SearchRecord(
         q=q,
@@ -286,6 +288,9 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchRecord:
     )
 
     if task.mode == "exhaustive":
+        for name in ("seed", "n_samples"):
+            if getattr(task, name) is not None:
+                raise ValueError(f"exhaustive searches take no {name}")
         total = task.canonical_count()
         if total > task.budget:
             raise ValueError(

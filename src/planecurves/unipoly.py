@@ -221,24 +221,18 @@ def root_count_in_field(F, f) -> int:
     return deg(g)
 
 
-def distinct_degree_pieces(F, f, max_e: int | None = None):
+def distinct_degree_pieces(F, f):
     """Split the distinct irreducible factors of f by degree.
 
-    Returns (pieces, leftover_degree) where pieces maps e to the monic
-    product of the distinct irreducible factors of f of degree exactly e,
-    for e up to max_e (default deg f).  leftover_degree > 0 means factors
-    of degree beyond max_e remain.  Repeated factors are deliberately
-    collapsed: gcd(f, x^(q^e) - x) is squarefree.
+    Returns a dict mapping e to the monic product of the distinct
+    irreducible factors of f of degree exactly e.  Repeated factors are
+    deliberately collapsed: gcd(f, x^(q^e) - x) is squarefree.
     """
     f = monic(F, f)
     d = deg(f)
-    if d < 1:
-        return {}, 0
-    if max_e is None:
-        max_e = d
     pieces: dict[int, list[int]] = {}
     xpow = [0, 1]
-    for e in range(1, min(max_e, d) + 1):
+    for e in range(1, d + 1):
         xpow = pow_mod(F, xpow, F.q, f)
         g = gcd(F, sub(F, xpow, [0, 1]), f)
         # remove factors of degree properly dividing e, already collected
@@ -247,13 +241,4 @@ def distinct_degree_pieces(F, f, max_e: int | None = None):
                 g = divmod_(F, g, gcd(F, g, piece))[0]
         if deg(g) >= 1:
             pieces[e] = g
-    leftover = 0
-    if max_e < d:
-        probe = f
-        for piece in pieces.values():
-            g = gcd(F, probe, piece)
-            while deg(g) >= 1:
-                probe = divmod_(F, probe, g)[0]
-                g = gcd(F, probe, piece)
-        leftover = deg(probe)
-    return pieces, leftover
+    return pieces

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from planecurves.curve import PlaneCurve, monomials
-from planecurves.field import FiniteField
+from planecurves.field import ExtensionField, FiniteField
 
 FIELD_PARAMS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1),
                 7: (7, 1), 8: (2, 3), 9: (3, 2), 16: (2, 4), 25: (5, 2),
@@ -32,3 +32,17 @@ def gf4():
 @pytest.fixture
 def gf5():
     return field_for(5)
+
+
+@pytest.fixture
+def extension_builds(monkeypatch):
+    """The arguments of every ExtensionField built while the test runs."""
+    builds = []
+    init = ExtensionField.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExtensionField, "__init__", counted)
+    return builds

@@ -1,7 +1,9 @@
+import argparse
 import json
 
 import pytest
 
+from planecurves import cli
 from planecurves.cli import main
 from planecurves.catalog import exceptional_quartic
 
@@ -128,6 +130,28 @@ def test_catalog_list_and_emit_round_trip(capsys):
     assert cur.degree == 5
 
 
+def test_catalog_emit_param_matches_catalog_flag(capsys):
+    """--emit with --param builds the curve that --catalog name:param names."""
+    code, out, err = run_cli(capsys, "catalog", "--emit", "deg_q_minus_1", "--field", "p=5,k=1",
+                             "--param", "alpha=2")
+    assert code == 0 and err == ""
+    flag = argparse.Namespace(curve=None, inline=None, catalog="deg_q_minus_1:alpha=2",
+                              field="p=5,k=1")
+    assert out == cli._load_curve(flag).to_text()
+    _, default, _ = run_cli(capsys, "catalog", "--emit", "deg_q_minus_1", "--field", "p=5,k=1")
+    assert out != default
+
+
+@pytest.mark.parametrize("argv", [
+    ("catalog", "--emit", "deg_q_minus_1", "--field", "p=5,k=1", "--param", "alpha"),
+    ("count", "--field", "p=5,k=1", "--catalog", "deg_q_minus_1:alpha", "--no-timestamp"),
+], ids=["param", "catalog-flag"])
+def test_malformed_catalog_parameter_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: bad catalog parameter 'alpha'\n"
+
+
 def test_verify_catalog_exit_zero(capsys):
     code, out, _ = run_cli(
         capsys, "verify-catalog", "--q", "2,3", "--skip-nonsingular",
@@ -168,7 +192,12 @@ def test_search_random_missing_seed(capsys):
      "at least one sample"),
     (["--degree", "2", "--witness-cap", "-1"], "witness_cap must be >= 0"),
     (["--degree", "2", "--workers", "0"], "workers must be >= 1"),
-], ids=["negative-degree", "no-samples", "negative-witness-cap", "zero-workers"])
+    (["--degree", "2", "--seed", "1"], "exhaustive searches take no seed"),
+    (["--degree", "2", "--samples", "5"], "exhaustive searches take no n_samples"),
+    (["--degree", "3", "--mode", "random", "--seed", "1", "--samples", "5",
+      "--singular-at", "0:0:1"], "singular_at is for constrained_random"),
+], ids=["negative-degree", "no-samples", "negative-witness-cap", "zero-workers",
+        "exhaustive-seed", "exhaustive-samples", "random-singular-at"])
 def test_search_refuses_invalid_parameters(capsys, extra, message):
     code, out, err = run_cli(capsys, "search", "--field", "p=3,k=1", *extra, "--no-timestamp")
     assert code == 1 and out == ""

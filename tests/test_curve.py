@@ -3,7 +3,7 @@ import random
 import pytest
 
 from planecurves import linalg, plane
-from planecurves.catalog import exceptional_quartic
+from planecurves.catalog import catalog_curve, exceptional_quartic
 from planecurves.curve import (
     BinaryForm,
     PlaneCurve,
@@ -151,13 +151,28 @@ def test_divides_random_products_transitive_scalar_invariant():
 
 
 def test_divides_needs_extension_point():
-    """X^q Y - X Y^q vanishes at every rational point, forcing the
-    monicization search into an extension field."""
+    """X^q Y - X Y^q vanishes at every rational point, so no rational point
+    tells its divisors apart; division by the leading term still does."""
     F2 = field_for(2)
     cur = PlaneCurve(F2, 3, {(2, 1, 0): 1, (1, 2, 0): 1})
     assert all(cur.evaluate(p) == 0 for p in plane.enumerate_points(F2))
     assert divides(PlaneCurve(F2, 1, {(1, 0, 0): 1}), cur)
     assert not divides(PlaneCurve(F2, 1, {(0, 0, 1): 1}), cur)
+
+
+def test_division_builds_no_extension_field(extension_builds):
+    """Division stays in the curves' own field, also for a curve through
+    every rational point and for the GF(16) Hermitian Frobenius form."""
+    F2 = field_for(2)
+    cur = PlaneCurve(F2, 3, {(2, 1, 0): 1, (1, 2, 0): 1})  # X^2 Y + X Y^2
+    x_plus_y = PlaneCurve(F2, 1, {(1, 0, 0): 1, (0, 1, 0): 1})
+    assert divides(x_plus_y, cur) and divides(cur, cur)
+    assert exact_divide(cur, x_plus_y).terms == {(1, 1, 0): 1}
+    hermitian = catalog_curve("hermitian", field_for(16))
+    form = frobenius_form(hermitian)
+    assert divides(hermitian, form)
+    assert curve_mul(hermitian, exact_divide(form, hermitian)) == form  # form = H^4
+    assert extension_builds == []
 
 
 def test_has_linear_component_examples(gf4):

@@ -82,8 +82,14 @@ def test_random_requires_seed_and_samples():
     ({"witness_cap": -1}, 1, "witness_cap must be >= 0"),
     ({}, 0, "workers must be >= 1"),
     ({}, -1, "workers must be >= 1"),
+    ({"seed": 1}, 1, "exhaustive searches take no seed"),
+    ({"n_samples": 5}, 1, "exhaustive searches take no n_samples"),
+    ({"singular_at": (0, 0, 1)}, 1, "singular_at is for constrained_random"),
+    ({"mode": "random", "seed": 1, "n_samples": 5, "singular_at": (0, 0, 1)},
+     1, "singular_at is for constrained_random"),
 ], ids=["negative-degree", "no-samples", "negative-samples", "negative-witness-cap",
-        "zero-workers", "negative-workers"])
+        "zero-workers", "negative-workers", "exhaustive-seed", "exhaustive-samples",
+        "exhaustive-singular-at", "random-singular-at"])
 def test_invalid_search_parameters_refused(engine_builds, changes, workers, match):
     """Refused before any engine is built; exhaustive GF(3) conics would
     otherwise find 35 witnesses."""
