@@ -72,6 +72,10 @@ def _deg_q_minus_1(ctx, alpha: int = None, beta: int = None) -> PlaneCurve:
         alpha = 1
     if beta is None:
         beta = 1 if ctx.char != 2 else 2
+    for key, val in (("alpha", alpha), ("beta", beta)):
+        if not (type(val) is int and 0 <= val < q):
+            raise ValueError(f"deg_q_minus_1 parameter {key!r} must be an element "
+                             f"code in [0, {q}), got {val!r}")
     s = ctx.add(alpha, beta)
     if alpha == 0 or beta == 0 or s == 0:
         raise ValueError("parameters need alpha * beta * (alpha + beta) != 0")
@@ -104,7 +108,8 @@ class CatalogEntry:
     degree: Callable[[int], int]
     applicable: Callable[[int], Optional[str]]  # None, or the reason it is not
     expected_count: Callable[[int], int]
-    build: Callable
+    build: Callable  # build(ctx, **params), params among ``params``
+    params: tuple[str, ...] = ()
 
 
 CATALOG: dict[str, CatalogEntry] = {
@@ -114,7 +119,7 @@ CATALOG: dict[str, CatalogEntry] = {
         degree=lambda q: 4,
         applicable=lambda q: None if q == 4 else "requires q = 4",
         expected_count=lambda q: 14,
-        build=lambda ctx, **kw: exceptional_quartic(ctx),
+        build=exceptional_quartic,
     ),
     "deg_q_plus_1": CatalogEntry(
         name="deg_q_plus_1",
@@ -122,7 +127,7 @@ CATALOG: dict[str, CatalogEntry] = {
         degree=lambda q: q + 1,
         applicable=lambda q: None,
         expected_count=lambda q: q * q + 1,
-        build=lambda ctx, **kw: _deg_q_plus_1(ctx),
+        build=_deg_q_plus_1,
     ),
     "deg_q": CatalogEntry(
         name="deg_q",
@@ -130,7 +135,7 @@ CATALOG: dict[str, CatalogEntry] = {
         degree=lambda q: q,
         applicable=lambda q: None if q >= 2 else "requires q >= 2",
         expected_count=lambda q: (q - 1) * q + 1,
-        build=lambda ctx, **kw: _deg_q(ctx),
+        build=_deg_q,
     ),
     "deg_q_minus_1": CatalogEntry(
         name="deg_q_minus_1",
@@ -138,7 +143,8 @@ CATALOG: dict[str, CatalogEntry] = {
         degree=lambda q: q - 1,
         applicable=lambda q: None if q >= 3 else "requires q >= 3",
         expected_count=lambda q: (q - 2) * q + 1,
-        build=lambda ctx, **kw: _deg_q_minus_1(ctx, **kw),
+        build=_deg_q_minus_1,
+        params=("alpha", "beta"),
     ),
     "hermitian": CatalogEntry(
         name="hermitian",
@@ -146,7 +152,7 @@ CATALOG: dict[str, CatalogEntry] = {
         degree=lambda q: isqrt(q) + 1,
         applicable=lambda q: None if _is_square(q) else "requires square q",
         expected_count=lambda q: q * isqrt(q) + 1,
-        build=lambda ctx, **kw: _hermitian(ctx),
+        build=_hermitian,
     ),
     "smooth_conic": CatalogEntry(
         name="smooth_conic",
@@ -154,7 +160,7 @@ CATALOG: dict[str, CatalogEntry] = {
         degree=lambda q: 2,
         applicable=lambda q: None,
         expected_count=lambda q: q + 1,
-        build=lambda ctx, **kw: _smooth_conic(ctx),
+        build=_smooth_conic,
     ),
 }
 
@@ -167,6 +173,10 @@ def catalog_curve(name: str, ctx, **params) -> PlaneCurve:
     reason = entry.applicable(ctx.q)
     if reason is not None:
         raise ValueError(f"{name} is not applicable over GF({ctx.q}): {reason}")
+    for key in params:
+        if key not in entry.params:
+            takes = ", ".join(entry.params) if entry.params else "none"
+            raise ValueError(f"{name} has no parameter {key!r} (parameters: {takes})")
     return entry.build(ctx, **params)
 
 

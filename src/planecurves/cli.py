@@ -40,20 +40,27 @@ def _parse_field_flag(text: str) -> FiniteField:
     return FiniteField.from_spec(spec)
 
 
-def _parse_catalog_params(pieces) -> dict:
-    """Catalog parameters from "name=value" pieces."""
+def _parse_catalog_params(entry: str, pieces) -> dict:
+    """Integer parameters of a catalog entry from "name=value" pieces."""
     params = {}
     for piece in pieces:
         key, eq, val = piece.partition("=")
         if not eq:
             raise ValueError(f"bad catalog parameter {piece!r}")
-        params[key.strip()] = int(val)
+        key = key.strip()
+        try:
+            params[key] = int(val)
+        except ValueError:
+            raise ValueError(
+                f"{entry} parameter {key!r} needs an integer, got {val!r}"
+            ) from None
     return params
 
 
 def _parse_catalog_flag(text: str):
     name, _, params_text = text.partition(":")
-    return name, _parse_catalog_params(params_text.split(",") if params_text else [])
+    return name, _parse_catalog_params(
+        name, params_text.split(",") if params_text else [])
 
 
 def _load_curve(args) -> PlaneCurve:
@@ -298,7 +305,7 @@ def cmd_catalog(args) -> int:
     if not args.field:
         raise ValueError("--emit needs --field")
     ctx = _parse_field_flag(args.field)
-    cur = catalog.catalog_curve(args.emit, ctx, **_parse_catalog_params(args.param))
+    cur = catalog.catalog_curve(args.emit, ctx, **_parse_catalog_params(args.emit, args.param))
     sys.stdout.write(cur.to_text())
     return 0
 

@@ -5,8 +5,10 @@ to the degree and all coefficients nonzero.  A BinaryForm is the
 restriction of a curve to a parameterized line, stored densely.  The zero
 polynomial is represented by None wherever an operation can collapse
 (partials, frobenius_form); PlaneCurve itself always has a nonzero term.
-Divisibility (divides, exact_divide) is division by the leading term in
-lexicographic order, over the curves' own field.
+Restriction to a line and composition with a matrix (restrict, transform)
+are one linear substitution, _substitute.  Divisibility (divides,
+exact_divide) is division by the leading term in lexicographic order,
+over the curves' own field.
 """
 
 from __future__ import annotations
@@ -28,19 +30,6 @@ def monomials(d: int) -> tuple[Exponents, ...]:
         for j in range(d + 1 - i):
             out.append((i, j, d - i - j))
     return tuple(sorted(out))
-
-
-@lru_cache(maxsize=None)
-def _pascal(p: int, rows: int) -> tuple[tuple[int, ...], ...]:
-    tri = [(1,)]
-    for n in range(1, rows + 1):
-        prev = tri[-1]
-        row = [1]
-        for m in range(1, n):
-            row.append((prev[m - 1] + prev[m]) % p)
-        row.append(1)
-        tri.append(tuple(row))
-    return tuple(tri)
 
 
 class PlaneCurve:
@@ -177,70 +166,19 @@ class PlaneCurve:
         if plane.normalize(ctx, p_point) == plane.normalize(ctx, q_point):
             raise ValueError("restriction needs two distinct points")
         d = self.degree
-        tri = _pascal(ctx.char, d)
-        coeffs = [0] * (d + 1)
-        for (i, j, k), c in self.terms.items():
-            part = [c]
-            for e, (a, b) in zip((i, j, k), zip(p_point, q_point)):
-                if e == 0:
-                    continue
-                apow = ctx.powers(a, e)
-                bpow = ctx.powers(b, e)
-                lin = []
-                row = tri[e]
-                for m in range(e + 1):
-                    term = ctx.mul(apow[e - m], bpow[m])
-                    lin.append(ctx.mul(row[m], term))
-                new = [0] * (len(part) + e)
-                for a_i, a_c in enumerate(part):
-                    if a_c:
-                        for b_i, b_c in enumerate(lin):
-                            if b_c:
-                                new[a_i + b_i] = ctx.add(
-                                    new[a_i + b_i], ctx.mul(a_c, b_c)
-                                )
-                part = new
-            for t_deg, c2 in enumerate(part):
-                if c2:
-                    coeffs[t_deg] = ctx.add(coeffs[t_deg], c2)
-        return BinaryForm(ctx, d, coeffs)
+        # X, Y, Z become P_a*s + Q_a*t; s^(d-i) t^i lands on key (d-i, i, 0)
+        terms = _substitute(self, [(a, b, 0) for a, b in zip(p_point, q_point)])
+        return BinaryForm(ctx, d, [terms.get((d - i, i, 0), 0) for i in range(d + 1)])
 
     def transform(self, matrix) -> "PlaneCurve":
         """F composed with an invertible matrix: result(P) = F(M . P)."""
         ctx = self.ctx
         if linalg.mat_inv(ctx, matrix) is None:
             raise ValueError("transform needs an invertible matrix")
-        rows = [tuple(row) for row in matrix]
-        d = self.degree
-        pows: list[list[dict]] = []
-        for row in rows:
-            lin = {
-                (1 if a == 0 else 0, 1 if a == 1 else 0, 1 if a == 2 else 0): c
-                for a, c in enumerate(row)
-                if c
-            }
-            cache = [{(0, 0, 0): 1}, lin]
-            pows.append(cache)
-        def row_power(axis: int, e: int) -> dict:
-            cache = pows[axis]
-            while len(cache) <= e:
-                cache.append(_term_mul(ctx, cache[-1], cache[1]))
-            return cache[e]
-        acc: dict[Exponents, int] = {}
-        for (i, j, k), c in self.terms.items():
-            prod = {(0, 0, 0): c}
-            for axis, e in enumerate((i, j, k)):
-                if e:
-                    prod = _term_mul(ctx, prod, row_power(axis, e))
-            for exps, val in prod.items():
-                cur = ctx.add(acc.get(exps, 0), val)
-                if cur:
-                    acc[exps] = cur
-                else:
-                    acc.pop(exps, None)
+        acc = _substitute(self, matrix)
         if not acc:
             raise ValueError("transform produced zero (matrix not invertible?)")
-        return PlaneCurve(ctx, d, acc)
+        return PlaneCurve(ctx, self.degree, acc)
 
     # serialization -----------------------------------------------------------
 
@@ -389,6 +327,40 @@ def _term_mul(ctx, a: dict, b: dict) -> dict:
             else:
                 out.pop(key, None)
     return out
+
+
+def _substitute(f: PlaneCurve, rows) -> dict:
+    """The terms of F(L_0, L_1, L_2), where L_a is the linear form with
+    coefficient triple rows[a]; zero terms are dropped."""
+    ctx = f.ctx
+    pows = []
+    for row in rows:
+        lin = {
+            (1 if a == 0 else 0, 1 if a == 1 else 0, 1 if a == 2 else 0): c
+            for a, c in enumerate(row)
+            if c
+        }
+        pows.append([{(0, 0, 0): 1}, lin])
+
+    def row_power(axis: int, e: int) -> dict:
+        cache = pows[axis]
+        while len(cache) <= e:
+            cache.append(_term_mul(ctx, cache[-1], cache[1]))
+        return cache[e]
+
+    acc: dict[Exponents, int] = {}
+    for (i, j, k), c in f.terms.items():
+        prod = {(0, 0, 0): c}
+        for axis, e in enumerate((i, j, k)):
+            if e:
+                prod = _term_mul(ctx, prod, row_power(axis, e))
+        for exps, val in prod.items():
+            cur = ctx.add(acc.get(exps, 0), val)
+            if cur:
+                acc[exps] = cur
+            else:
+                acc.pop(exps, None)
+    return acc
 
 
 def curve_mul(f: PlaneCurve, g: PlaneCurve) -> PlaneCurve:

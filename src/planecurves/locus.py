@@ -20,6 +20,12 @@ whose base-q digits are its coordinates in 1, y, ..., y^(deg u - 1).
 The ring is a _FieldOps context with its own inversion, so unipoly's
 gcd, division and powering serve polynomials over it unchanged.
 
+Each branch returns the least extension degree of a point it finds, or
+None, and _decompose also returns whether that degree is exact.  It is
+exact unless a one-dimensional branch hit the enumeration cap and fell
+back to slicing by the coordinate lines.  A branch stops at the first
+degree that nothing left in it can undercut.
+
 Plain point enumeration over GF(q^m) is also provided; it is the oracle
 the exact path is tested against at small sizes.
 """
@@ -226,15 +232,6 @@ def _is_constant(terms):
 # the decision procedure ----------------------------------------------------
 
 
-class _Tracker:
-    def __init__(self):
-        self.best: Optional[int] = None
-
-    def record(self, degree: int):
-        if self.best is None or degree < self.best:
-            self.best = degree
-
-
 def _points_on_line(ctx, line):
     """Two distinct points spanning a line given by its coefficient triple."""
     a, b, c = line
@@ -254,36 +251,33 @@ def _points_on_line(ctx, line):
     raise RuntimeError("degenerate line coefficients")
 
 
-def _restrict_line_case(ctx, system, line, tracker):
-    """Candidates of the system restricted to one rational line."""
+def _least(*degrees):
+    """The least of the degrees that are not None, or None."""
+    found = [e for e in degrees if e is not None]
+    return min(found) if found else None
+
+
+def _restrict_line_case(ctx, system, line):
+    """Least degree of a point of V(system) on one rational line, or None."""
     p_pt, q_pt = _points_on_line(ctx, line)
     dehoms = []
     infinity_root = True  # does (s:t) = (0:1) satisfy every member?
-    all_zero = True
     for terms in system:
-        cur = PlaneCurve(ctx, _tri_degree(terms), terms)
-        form = cur.restrict(p_pt, q_pt)
+        form = PlaneCurve(ctx, _tri_degree(terms), terms).restrict(p_pt, q_pt)
         if form.is_zero():
             continue
-        all_zero = False
         if form.coeffs[form.degree] != 0:
             infinity_root = False
         dehoms.append(form.dehomogenized())
-    if all_zero:
-        # the whole line lies in the locus; rational points abound
-        tracker.record(1)
-        return
     if infinity_root:
-        tracker.record(1)
+        # a rational common root, or the whole line lies in the locus
+        return 1
     g: list[int] = []
     for poly in dehoms:
         g = unipoly.gcd(ctx, g, poly) if g else unipoly.monic(ctx, poly)
         if unipoly.deg(g) == 0:
-            return
-    if unipoly.deg(g) >= 1:
-        pieces = unipoly.distinct_degree_pieces(ctx, g)
-        for e in pieces:
-            tracker.record(e)
+            return None
+    return min(unipoly.distinct_degree_pieces(ctx, g))
 
 
 def _interp_field(ctx, npoints: int):
@@ -336,30 +330,37 @@ def _eliminate_pair(ctx, terms_a, terms_b):
     return unipoly.trim(r)
 
 
-def _chart_candidates(ctx, system, terms_a, terms_b, tracker):
-    """Record degrees of V(system) points in the chart X = 1."""
+def _chart_candidates(ctx, system, terms_a, terms_b):
+    """Least degree of a point of V(system) in the chart X = 1, or None."""
     r = _eliminate_pair(ctx, terms_a, terms_b)
     if not r:
         raise RuntimeError("coprime pair eliminated to the zero polynomial")
     if unipoly.deg(r) == 0:
-        return
+        return None
     pieces = unipoly.distinct_degree_pieces(ctx, r)
     chart_all = [_grouped(ctx, terms, 2, 1) for terms in system]
-    for e, piece in pieces.items():
-        worklist = [piece]
+    best = None
+    for e in sorted(pieces):
+        if best is not None and best <= e:
+            break  # every point over a degree-e piece has degree >= e
+        worklist = [pieces[e]]
         while worklist:
             u = worklist.pop()
             try:
-                _ring_candidates(ctx, chart_all, u, e, tracker)
+                best = _least(best, _ring_candidates(ctx, chart_all, u, e))
             except _Split as sp:
                 quo, rem = unipoly.divmod_(ctx, u, sp.factor)
                 if rem:
                     raise RuntimeError("split factor must divide the modulus")
                 worklist.append(sp.factor)
                 worklist.append(quo)
+    return best
 
 
-def _ring_candidates(ctx, chart_all, u, e, tracker):
+def _ring_candidates(ctx, chart_all, u, e):
+    """Least degree e*f of a point of the chart system over the residue
+    fields GF(q^e) of GF(q)[y]/(u), or None; raises _Split on a zero
+    divisor."""
     ring = _QuotRing(ctx, u)
     zpolys = [unipoly.trim([ring.reduce(p) for p in chart]) for chart in chart_all]
     zpolys = [zp for zp in zpolys if zp]
@@ -369,93 +370,69 @@ def _ring_candidates(ctx, chart_all, u, e, tracker):
     for zp in zpolys:
         g = unipoly.gcd(ring, g, zp) if g else unipoly.monic(ring, zp)
         if unipoly.deg(g) == 0:
-            return
-    # distinct-degree scan of g over the residue fields GF(q^e)
+            return None
+    # the first f with gcd(g, z^(Q^f) - z) nontrivial, Q = q^e
     Q = ctx.q ** e
     zpow = unipoly.mod(ring, [0, 1], g)
     for f in range(1, len(g)):
         zpow = unipoly.pow_mod(ring, zpow, Q, g)
         h = unipoly.gcd(ring, g, unipoly.sub(ring, zpow, [0, 1]))
         if unipoly.deg(h) >= 1:
-            tracker.record(e * f)
-            g, rem = unipoly.divmod_(ring, g, h)
-            if rem:
-                raise RuntimeError("quotient was not exact")
-            if unipoly.deg(g) == 0:
-                return
-            zpow = unipoly.mod(ring, zpow, g)
-    if unipoly.deg(g) >= 1:
-        # whatever remains is irreducible of degree deg g in each component
-        tracker.record(e * unipoly.deg(g))
+            return e * f
+    raise RuntimeError("a polynomial of degree n must have a root of degree <= n")
 
 
-def _curve_min_degree(ctx, terms, tracker, enum_cap):
-    """Witness degrees for a one-dimensional branch: every point of the
-    curve V(terms) is in the locus."""
+def _curve_min_degree(ctx, terms, enum_cap):
+    """(least degree, exact) for a one-dimensional branch: every point of
+    the curve V(terms) is in the locus."""
     cur = PlaneCurve(ctx, _tri_degree(terms), terms)
     for point in plane.enumerate_points(ctx):
         if cur.evaluate(point) == 0:
-            tracker.record(1)
-            return True
+            return 1, True
     m = 2
     while (ctx.q ** m) ** 2 <= enum_cap:
         ext = ctx.extension(m)
         lifted = lift_curve(cur, ext)
         for point in plane.enumerate_points(ext):
             if lifted.evaluate(point) == 0:
-                tracker.record(m)
-                return True
+                return m, True
         m += 1
-    # capped: exhibit a point class on a coordinate-line slice
-    best = None
-    for line in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        p_pt, q_pt = _points_on_line(ctx, line)
-        form = cur.restrict(p_pt, q_pt)
-        if form.is_zero():
-            tracker.record(1)
-            return True
-        pieces = unipoly.distinct_degree_pieces(ctx, form.dehomogenized())
-        if form.coeffs[form.degree] == 0:
-            pieces.setdefault(1, [0, 1])
-        if pieces:
-            e = min(pieces)
-            best = e if best is None else min(best, e)
+    # capped: exhibit a point class on a coordinate-line slice, a witness
+    # degree that is possibly not the minimum
+    best = _least(*(_restrict_line_case(ctx, [terms], line)
+                    for line in ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
     if best is None:
         raise RuntimeError("a positive-degree curve must meet a coordinate line")
-    tracker.record(best)
-    return False  # witness degree recorded, but possibly not the minimum
+    return best, False
 
 
-def _decompose(ctx, system, tracker, enum_cap, exact_flag):
-    """Union the witness degrees of V(system) into the tracker."""
+def _decompose(ctx, system, enum_cap):
+    """(least degree of a point of V(system) or None, whether it is exact)."""
     system = [t for t in system if t]
     if any(_is_constant(t) for t in system):
-        return
+        return None, True
     if not system:
         raise RuntimeError("empty system does not arise for plane curves")
     if len(system) == 1:
-        if not _curve_min_degree(ctx, system[0], tracker, enum_cap):
-            exact_flag.append(False)
-        return
+        return _curve_min_degree(ctx, system[0], enum_cap)
     linear = next((t for t in system if _tri_degree(t) == 1), None)
     if linear is not None:
         line = _linear_to_triple(ctx, linear)
         rest = [t for t in system if t is not linear]
-        _restrict_line_case(ctx, rest, line, tracker)
-        return
+        return _restrict_line_case(ctx, rest, line), True
     ordered = sorted(system, key=_tri_degree)
     a, b = ordered[0], ordered[1]
     rest = [t for t in system if t is not a and t is not b]
     d = tri_gcd(ctx, a, b)
     if _tri_degree(d) >= 1:
-        _decompose(ctx, [d] + rest, tracker, enum_cap, exact_flag)
+        first, first_exact = _decompose(ctx, [d] + rest, enum_cap)
         da = _tri_exact_divide(ctx, a, d)
         db = _tri_exact_divide(ctx, b, d)
-        _decompose(ctx, [da, db] + rest, tracker, enum_cap, exact_flag)
-        return
+        second, second_exact = _decompose(ctx, [da, db] + rest, enum_cap)
+        return _least(first, second), first_exact and second_exact
     # coprime pair: finitely many common zeros
-    _restrict_line_case(ctx, system, (1, 0, 0), tracker)
-    _chart_candidates(ctx, system, a, b, tracker)
+    return _least(_restrict_line_case(ctx, system, (1, 0, 0)),
+                  _chart_candidates(ctx, system, a, b)), True
 
 
 def _linear_to_triple(ctx, terms):
@@ -480,15 +457,13 @@ def decide_singular_locus(curve: PlaneCurve, enum_cap: int = 10 ** 6, rational=N
     rational = singular_rational_points(curve) if rational is None else rational
     if rational:
         return LocusResult(False, 1, True, rational[0])
-    tracker = _Tracker()
-    exact_flag: list[bool] = []
-    _decompose(ctx, system, tracker, enum_cap, exact_flag)
-    if tracker.best is None:
+    best, exact = _decompose(ctx, system, enum_cap)
+    if best is None:
         return LocusResult(True)
-    if tracker.best == 1:
+    if best == 1:
         # the decomposition claims a rational witness the scan should have seen
         raise RuntimeError("inconsistent rational-witness bookkeeping")
-    return LocusResult(False, tracker.best, len(exact_flag) == 0)
+    return LocusResult(False, best, exact)
 
 
 def singular_points_over_extension(curve: PlaneCurve, m: int):

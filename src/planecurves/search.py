@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg, plane
-from .curve import PlaneCurve, has_linear_component, monomials, restriction_map
+from .curve import PlaneCurve, gradient, has_linear_component, monomials, restriction_map
 
 GENERATOR_ID = "numpy-pcg64"
 ENGINE_ID = "numpy-gfp-linear-float64"
@@ -393,24 +393,11 @@ def singular_constraint_basis(ctx, degree: int, point) -> list:
     vanishing at the given rational point (four linear conditions)."""
     point = plane.normalize(ctx, point)
     monos = monomials(degree)
-    xs, ys, zs = (ctx.powers(c, degree) for c in point)
-
-    def monomial_value(i, j, k):
-        return ctx.mul(xs[i], ctx.mul(ys[j], zs[k]))
-
-    rows = [[monomial_value(i, j, k) for (i, j, k) in monos]]
-    for axis in range(3):
-        row = []
-        for (i, j, k) in monos:
-            exps = [i, j, k]
-            mult = exps[axis] % ctx.char  # the partial's integer factor
-            if mult == 0:
-                row.append(0)
-                continue
-            exps[axis] -= 1
-            row.append(ctx.mul(mult, monomial_value(*exps)))
-        rows.append(row)
-    return linalg.nullspace(ctx, rows, len(monos))
+    columns = []
+    for mono in monos:
+        single = PlaneCurve(ctx, degree, {mono: 1})
+        columns.append((single.evaluate(point),) + gradient(single.partials(), point))
+    return linalg.nullspace(ctx, list(zip(*columns)), len(monos))
 
 
 def _combine_basis(ctx, basis, combo: np.ndarray) -> np.ndarray:

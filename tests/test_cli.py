@@ -142,14 +142,25 @@ def test_catalog_emit_param_matches_catalog_flag(capsys):
     assert out != default
 
 
-@pytest.mark.parametrize("argv", [
-    ("catalog", "--emit", "deg_q_minus_1", "--field", "p=5,k=1", "--param", "alpha"),
-    ("count", "--field", "p=5,k=1", "--catalog", "deg_q_minus_1:alpha", "--no-timestamp"),
-], ids=["param", "catalog-flag"])
-def test_malformed_catalog_parameter_refused(capsys, argv):
+@pytest.mark.parametrize("argv,message", [
+    (("catalog", "--emit", "deg_q_minus_1", "--field", "p=5,k=1", "--param", "alpha"),
+     "bad catalog parameter 'alpha'"),
+    (("count", "--field", "p=5,k=1", "--catalog", "deg_q_minus_1:alpha", "--no-timestamp"),
+     "bad catalog parameter 'alpha'"),
+    (("catalog", "--emit", "deg_q_minus_1", "--field", "p=5,k=1", "--param", "gamma=2"),
+     "deg_q_minus_1 has no parameter 'gamma' (parameters: alpha, beta)"),
+    (("count", "--field", "p=5,k=1", "--catalog", "deg_q:alpha=2", "--no-timestamp"),
+     "deg_q has no parameter 'alpha' (parameters: none)"),
+    (("count", "--field", "p=5,k=1", "--catalog", "deg_q_minus_1:alpha=x", "--no-timestamp"),
+     "deg_q_minus_1 parameter 'alpha' needs an integer, got 'x'"),
+    (("catalog", "--emit", "deg_q_minus_1", "--field", "p=5,k=1", "--param", "alpha=9"),
+     "deg_q_minus_1 parameter 'alpha' must be an element code in [0, 5), got 9"),
+], ids=["param", "catalog-flag", "unknown-name", "no-parameters", "not-integer",
+        "not-element"])
+def test_malformed_catalog_parameter_refused(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
-    assert err == "error: bad catalog parameter 'alpha'\n"
+    assert err == f"error: {message}\n"
 
 
 def test_verify_catalog_exit_zero(capsys):

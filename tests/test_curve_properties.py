@@ -1,8 +1,10 @@
-"""Property tests of exact division of plane-curve forms.
+"""Property tests of exact division and linear substitution of plane-curve
+forms.
 
 ``exact_divide`` must recover h from f * h, and ``divides`` must answer
 False whenever a rational point lies on f but not on g, which evaluation
-decides without the division code.  Fields are pinned: small prime and
+decides without the division code.  ``transform`` and ``restrict`` must
+agree with evaluating the curve at the substituted point.  Fields are pinned: small prime and
 tabled fields, a tower from ``ctx.extension(2)`` and GF(257), which has
 no tables.  Example counts are fixed and derandomized so the suite
 replays exactly.
@@ -11,6 +13,7 @@ replays exactly.
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from planecurves import linalg, plane
 from planecurves.curve import PlaneCurve, curve_mul, divides, exact_divide, monomials
 from planecurves.field import FiniteField
 
@@ -80,3 +83,26 @@ def test_a_point_on_f_off_g_refutes_divisibility(data):
         assert not divides(f, g)
     elif divides(f, g):
         assert curve_mul(f, exact_divide(g, f)) == g
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_substitution_commutes_with_evaluation(data):
+    """f.transform(M)(P) == f(M P) and f.restrict(A, B)(s, t) == f(sA + tB)."""
+    ctx = data.draw(st.sampled_from(FIELDS), label="field")
+    element = st.integers(0, ctx.q - 1)
+    triple = st.tuples(element, element, element)
+    degree = data.draw(st.integers(1, 5), label="degree")
+    f = _curve(ctx, degree, _coeffs(data, ctx, degree, "f"))
+    assume(f is not None)
+    point = data.draw(triple, label="P")
+    matrix = data.draw(st.tuples(triple, triple, triple), label="M")
+    if linalg.mat_inv(ctx, matrix) is not None:
+        image = tuple(ctx.add(ctx.add(ctx.mul(r[0], point[0]), ctx.mul(r[1], point[1])),
+                              ctx.mul(r[2], point[2])) for r in matrix)
+        assert f.transform(matrix).evaluate(point) == f.evaluate(image)
+    a, b = data.draw(triple, label="A"), data.draw(triple, label="B")
+    assume(any(a) and any(b) and plane.normalize(ctx, a) != plane.normalize(ctx, b))
+    s, t = data.draw(element, label="s"), data.draw(element, label="t")
+    on_line = tuple(ctx.add(ctx.mul(s, x), ctx.mul(t, y)) for x, y in zip(a, b))
+    assert f.restrict(a, b).evaluate(s, t) == f.evaluate(on_line)

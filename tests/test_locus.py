@@ -4,7 +4,7 @@ import pytest
 
 from planecurves import locus
 from planecurves.catalog import catalog_curve, exceptional_quartic
-from planecurves.curve import PlaneCurve, curve_mul
+from planecurves.curve import PlaneCurve, curve_mul, monomials
 from planecurves.locus import (
     decide_singular_locus,
     singular_points_over_extension,
@@ -49,13 +49,24 @@ def test_catalog_curves_have_empty_locus(name, q):
     assert res.empty
 
 
+def _sparse_curve(ctx, degree: int, rng: random.Random) -> PlaneCurve:
+    """Three to five random monomials with random nonzero coefficients."""
+    monos = rng.sample(monomials(degree), rng.randint(3, 5))
+    return PlaneCurve(ctx, degree, {m: rng.randrange(1, ctx.q) for m in monos})
+
+
 def test_oracle_cross_check_small_random():
-    """Exact decision vs plain enumeration over GF(q), GF(q^2), GF(q^3)."""
-    rng = random.Random(71)
-    for _ in range(80):
-        q = rng.choice([2, 3])
-        ctx = field_for(q)
-        cur = random_curve(ctx, rng.choice([2, 3, 4]), rng)
+    """Exact decision vs plain enumeration over GF(q), GF(q^2), GF(q^3).
+
+    Dense curves mostly meet coprime pairs; sparse ones also reach linear
+    members and shared factors of F and its partials."""
+    curves = []
+    for make, seed, count in ((random_curve, 71, 80), (_sparse_curve, 74, 120)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            q = rng.choice([2, 3])
+            curves.append(make(field_for(q), rng.choice([2, 3, 4]), rng))
+    for cur in curves:
         res = decide_singular_locus(cur)
         found = {}
         for m in (1, 2, 3):
