@@ -2,11 +2,11 @@
 point counting, singularity analysis, line spectra, extremal point-count
 bounds, a catalog of equality cases, and coefficient-space search.
 
-The search names (``SearchRecord``, ``SearchTask``,
-``random_singular_instances``, ``run_search`` and the ``search`` module)
-are loaded on first access, because ``search`` is the only module that
-imports numpy: importing the package, and every other operation, runs
-without it."""
+The search names (``SearchRecord``, ``SearchTask``, ``run_search`` and the
+``search`` module) are loaded on first access, because ``search`` is the
+only module that imports numpy: importing the package, and every other
+operation, runs without it.  ``random_singular_instances`` draws its
+curves in pure Python and is exported from ``analysis``."""
 
 from importlib import import_module as _import_module
 
@@ -21,6 +21,7 @@ from .analysis import (
     is_frobenius_nonclassical,
     is_geometrically_nonsingular,
     line_spectrum,
+    random_singular_instances,
     rational_points,
     singular_rational_points,
     tangent_line,
@@ -59,7 +60,7 @@ from .plane import (
 
 __version__ = "0.1.0"
 
-_SEARCH_NAMES = ("SearchRecord", "SearchTask", "random_singular_instances", "run_search")
+_SEARCH_NAMES = ("SearchRecord", "SearchTask", "run_search")
 
 __all__ = sorted(
     [name for name in globals() if not name.startswith("_")] + ["search", *_SEARCH_NAMES]

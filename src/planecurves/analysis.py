@@ -1,6 +1,7 @@
 """Everything measured about a curve: rational points, singular points,
 tangent lines, intersection multiplicities, the line spectrum a_i, and the
-Frobenius classicality verdict.
+Frobenius classicality verdict; also seeded random curves forced to be
+singular at a rational point.
 
 Counting is available through two independent strategies (full point
 iteration and an affine line sweep whose per-line root counts come from
@@ -15,12 +16,13 @@ with curve.gradient.  The independent oracles keep loops of their own.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Optional
 
-from . import locus, plane, unipoly
+from . import linalg, locus, plane, unipoly
 from .curve import PlaneCurve, divides, frobenius_form, gradient, has_linear_component
-from .curve import rational_points, singular_rational_points
+from .curve import monomials, rational_points, singular_rational_points
 
 
 class _Infinite:
@@ -307,3 +309,47 @@ def is_frobenius_nonclassical(curve: PlaneCurve) -> bool:
     if form is None:
         return True
     return divides(curve, form)
+
+
+def singular_constraint_basis(ctx, degree: int, point) -> list:
+    """Basis of coefficient vectors of curves with F and all partials
+    vanishing at the given rational point (four linear conditions)."""
+    point = plane.normalize(ctx, point)
+    monos = monomials(degree)
+    columns = []
+    for mono in monos:
+        single = PlaneCurve(ctx, degree, {mono: 1})
+        columns.append((single.evaluate(point),) + gradient(single.partials(), point))
+    return linalg.nullspace(ctx, list(zip(*columns)), len(monos))
+
+
+def random_singular_instances(
+    ctx, degree: int, point, n: int, seed: int
+) -> list[PlaneCurve]:
+    """n seeded random curves singular at the given rational point, with
+    linear-component carriers discarded.
+
+    Each candidate draws one random.Random(seed) code per basis vector of
+    singular_constraint_basis, in basis order, and is the sum of the basis
+    vectors scaled by those codes.
+    """
+    if degree < 2:
+        raise ValueError("forced singular curves need degree >= 2")
+    basis = singular_constraint_basis(ctx, degree, point)
+    rng = random.Random(seed)
+    monos = monomials(degree)
+    add, mul = ctx._add, ctx._mul
+    out: list[PlaneCurve] = []
+    while len(out) < n:
+        vec = [0] * len(monos)
+        for row in basis:
+            c = rng.randrange(ctx.q)
+            if c:
+                vec = [add(v, mul(c, b)) for v, b in zip(vec, row)]
+        terms = {m: v for m, v in zip(monos, vec) if v}
+        if not terms:
+            continue
+        cur = PlaneCurve(ctx, degree, terms)
+        if has_linear_component(cur) is None:
+            out.append(cur)
+    return out

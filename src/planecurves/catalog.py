@@ -105,7 +105,7 @@ def _smooth_conic(ctx) -> PlaneCurve:
 class CatalogEntry:
     name: str
     summary: str
-    degree: Callable[[int], int]
+    degree: int | str  # a fixed degree, or its rule in q
     applicable: Callable[[int], Optional[str]]  # None, or the reason it is not
     expected_count: Callable[[int], int]
     build: Callable  # build(ctx, **params), params among ``params``
@@ -116,7 +116,7 @@ CATALOG: dict[str, CatalogEntry] = {
     "exceptional_quartic": CatalogEntry(
         name="exceptional_quartic",
         summary="the unique (up to equivalence) 14-point quartic over GF(4)",
-        degree=lambda q: 4,
+        degree=4,
         applicable=lambda q: None if q == 4 else "requires q = 4",
         expected_count=lambda q: 14,
         build=exceptional_quartic,
@@ -124,7 +124,7 @@ CATALOG: dict[str, CatalogEntry] = {
     "deg_q_plus_1": CatalogEntry(
         name="deg_q_plus_1",
         summary="degree q+1 curve with q^2 + 1 rational points",
-        degree=lambda q: q + 1,
+        degree="q+1",
         applicable=lambda q: None,
         expected_count=lambda q: q * q + 1,
         build=_deg_q_plus_1,
@@ -132,7 +132,7 @@ CATALOG: dict[str, CatalogEntry] = {
     "deg_q": CatalogEntry(
         name="deg_q",
         summary="degree q curve attaining (q-1)q + 1 rational points",
-        degree=lambda q: q,
+        degree="q",
         applicable=lambda q: None if q >= 2 else "requires q >= 2",
         expected_count=lambda q: (q - 1) * q + 1,
         build=_deg_q,
@@ -140,7 +140,7 @@ CATALOG: dict[str, CatalogEntry] = {
     "deg_q_minus_1": CatalogEntry(
         name="deg_q_minus_1",
         summary="degree q-1 curve attaining (q-2)q + 1 rational points",
-        degree=lambda q: q - 1,
+        degree="q-1",
         applicable=lambda q: None if q >= 3 else "requires q >= 3",
         expected_count=lambda q: (q - 2) * q + 1,
         build=_deg_q_minus_1,
@@ -149,7 +149,7 @@ CATALOG: dict[str, CatalogEntry] = {
     "hermitian": CatalogEntry(
         name="hermitian",
         summary="Hermitian curve of degree sqrt(q)+1 with q*sqrt(q)+1 points",
-        degree=lambda q: isqrt(q) + 1,
+        degree="sqrt(q)+1",
         applicable=lambda q: None if _is_square(q) else "requires square q",
         expected_count=lambda q: q * isqrt(q) + 1,
         build=_hermitian,
@@ -157,7 +157,7 @@ CATALOG: dict[str, CatalogEntry] = {
     "smooth_conic": CatalogEntry(
         name="smooth_conic",
         summary="smooth conic YZ - X^2 with q + 1 rational points",
-        degree=lambda q: 2,
+        degree=2,
         applicable=lambda q: None,
         expected_count=lambda q: q + 1,
         build=_smooth_conic,

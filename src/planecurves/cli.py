@@ -296,7 +296,8 @@ def cmd_catalog(args) -> int:
         entries = {
             name: {
                 "summary": entry.summary,
-                "degree": "q-dependent",
+                "degree": entry.degree,
+                "params": list(entry.params),
             }
             for name, entry in catalog.CATALOG.items()
         }

@@ -17,6 +17,10 @@ table with the engine.
 
 Records carry the seed, the generator identifier and the full parameters,
 so a run can be replayed bit for bit.
+
+singular_constraint_basis and random_singular_instances live in analysis,
+which draws its forced-singular curves without numpy; they are imported
+here for constrained_random and for callers that name them from search.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import linalg, plane
-from .curve import PlaneCurve, gradient, has_linear_component, monomials, restriction_map
+from . import plane
+from .analysis import random_singular_instances, singular_constraint_basis
+from .curve import PlaneCurve, monomials, restriction_map
 
 GENERATOR_ID = "numpy-pcg64"
 ENGINE_ID = "numpy-gfp-linear-float64"
@@ -93,7 +98,9 @@ def _gfp_tables(ctx):
     code v, and mul[v, j, i] is digit i of v * p**j, the entry (i, j) of
     the GF(p) matrix of multiplication by v."""
     p, q = ctx.char, ctx.q
-    k = len(np.base_repr(q - 1, p))  # p^k - 1 has k base-p digits
+    k, rest = 0, q - 1  # p^k - 1 has k base-p digits
+    while rest:
+        k, rest = k + 1, rest // p
     powers = p ** np.arange(k)
     digits = (np.arange(q)[:, None] // powers) % p
     prods = np.array([[ctx.mul(v, int(b)) for b in powers] for v in range(q)])
@@ -352,7 +359,7 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchRecord:
         for value, times in zip(*np.unique(counts, return_counts=True)):
             hist[int(value)] = int(times)
         best = int(counts.max())
-        rows = [coeffs[i].copy() for i in np.nonzero(counts == best)[0]]
+        rows = coeffs[np.nonzero(counts == best)[0][: task.witness_cap]]
         return zero_dropped, lin_dropped, hist, best, rows
 
     if workers > 1:
@@ -372,7 +379,7 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchRecord:
             continue
         if record.best_N is None or best > record.best_N:
             record.best_N = best
-            best_rows = list(rows[: task.witness_cap])
+            best_rows = list(rows)
         elif best == record.best_N and len(best_rows) < task.witness_cap:
             best_rows.extend(rows[: task.witness_cap - len(best_rows)])
 
@@ -388,18 +395,6 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchRecord:
     return record
 
 
-def singular_constraint_basis(ctx, degree: int, point) -> list:
-    """Basis of coefficient vectors of curves with F and all partials
-    vanishing at the given rational point (four linear conditions)."""
-    point = plane.normalize(ctx, point)
-    monos = monomials(degree)
-    columns = []
-    for mono in monos:
-        single = PlaneCurve(ctx, degree, {mono: 1})
-        columns.append((single.evaluate(point),) + gradient(single.partials(), point))
-    return linalg.nullspace(ctx, list(zip(*columns)), len(monos))
-
-
 def _combine_basis(ctx, basis, combo: np.ndarray) -> np.ndarray:
     """Row r is the sum over b of combo[r, b] * basis[b], as uint8 codes."""
     digits, mul = _gfp_tables(ctx)
@@ -407,27 +402,4 @@ def _combine_basis(ctx, basis, combo: np.ndarray) -> np.ndarray:
     out = np.empty((combo.shape[0], len(basis[0])), dtype=np.uint8)
     for rows, prod in _products(digits, ctx.char, combo, _lift(mul, basis)):
         out[rows] = prod.reshape(prod.shape[0], -1, len(place)) @ place
-    return out
-
-
-def random_singular_instances(
-    ctx, degree: int, point, n: int, seed: int
-) -> list[PlaneCurve]:
-    """n seeded random curves singular at the given rational point, with
-    linear-component carriers discarded."""
-    if degree < 2:
-        raise ValueError("forced singular curves need degree >= 2")
-    basis = singular_constraint_basis(ctx, degree, point)
-    rng = np.random.default_rng(seed)
-    monos = monomials(degree)
-    out: list[PlaneCurve] = []
-    while len(out) < n:
-        combo = rng.integers(0, ctx.q, size=(1, len(basis)), dtype=np.int64)
-        vec = _combine_basis(ctx, basis, combo)[0]
-        terms = {m: int(c) for m, c in zip(monos, vec) if c}
-        if not terms:
-            continue
-        cur = PlaneCurve(ctx, degree, terms)
-        if has_linear_component(cur) is None:
-            out.append(cur)
     return out

@@ -5,7 +5,7 @@ import pytest
 
 from planecurves import cli
 from planecurves.cli import main
-from planecurves.catalog import exceptional_quartic
+from planecurves.catalog import CATALOG, catalog_curve, exceptional_quartic
 
 from conftest import field_for
 
@@ -128,6 +128,25 @@ def test_catalog_list_and_emit_round_trip(capsys):
 
     cur = PlaneCurve.from_text(out)
     assert cur.degree == 5
+
+
+def test_catalog_listing_gives_each_degree_and_params(capsys):
+    """A fixed degree prints as an integer, any other as its rule in q; the
+    rules match the curves the entries build."""
+    code, out, _ = run_cli(capsys, "catalog", "--no-timestamp")
+    assert code == 0
+    entries = json.loads(out)["entries"]
+    assert {name: (e["degree"], e["params"]) for name, e in entries.items()} == {
+        "exceptional_quartic": (4, []), "deg_q_plus_1": ("q+1", []), "deg_q": ("q", []),
+        "deg_q_minus_1": ("q-1", ["alpha", "beta"]), "hermitian": ("sqrt(q)+1", []),
+        "smooth_conic": (2, []),
+    }
+    for q, root in ((4, 2), (9, 3)):
+        rules = {"q+1": q + 1, "q": q, "q-1": q - 1, "sqrt(q)+1": root + 1}
+        for name, entry in entries.items():
+            if CATALOG[name].applicable(q) is None:
+                degree = catalog_curve(name, field_for(q)).degree
+                assert degree == rules.get(entry["degree"], entry["degree"]), (name, q)
 
 
 def test_catalog_emit_param_matches_catalog_flag(capsys):

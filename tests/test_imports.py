@@ -73,6 +73,28 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(state))
 """
 
+# One analyze-style cycle in a fresh interpreter: forced-singular draws,
+# bound verdicts and line spectra over GF(4) and GF(5).
+_ANALYSIS_SCRIPT = """
+import sys
+from planecurves import FiniteField, bound_verdicts, line_spectrum, random_singular_instances
+for p, k in ((2, 2), (5, 1)):
+    for cur in random_singular_instances(FiniteField(p, k), 3, (0, 0, 1), 2, seed=7):
+        bound_verdicts(cur)
+        line_spectrum(cur)
+print("numpy" in sys.modules)
+"""
+
+
+def _fresh_python(*args):
+    """Run python with the given arguments in a fresh interpreter, with this
+    package on its path; returns its stdout."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
 
 def _module_level_imports(tree):
     """Top-level module names imported when the module is executed: every
@@ -99,11 +121,7 @@ def test_only_search_imports_numpy_at_module_level():
 
 def test_non_search_commands_run_without_numpy():
     commands = [argv for argv, _ in NON_SEARCH] + [SEARCH_ARGV]
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent), "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", _SCRIPT, json.dumps(commands)],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    state = json.loads(proc.stdout)
+    state = json.loads(_fresh_python("-c", _SCRIPT, json.dumps(commands)))
     assert state["import"] is False
     assert set(SEARCH_NAMES) | {"search"} <= set(state["dir"])
     *others, (code, numpy_loaded, out) = state["runs"]
@@ -113,6 +131,10 @@ def test_non_search_commands_run_without_numpy():
     record = json.loads(out)
     record.pop("engine")
     assert record == SEARCH_RECORD
+
+
+def test_analysis_runs_without_numpy():
+    assert _fresh_python("-c", _ANALYSIS_SCRIPT).strip() == "False"
 
 
 def test_star_import_exports_the_same_names():

@@ -166,9 +166,11 @@ def test_engine_batches_without_candidates():
 
 
 def test_combine_basis_matches_elementwise_sum():
+    """Including primes above 36, whose base-p digits numpy's base_repr
+    cannot write."""
     rng = np.random.default_rng(11)
-    for q in (4, 5, 9):
-        ctx = field_for(q)
+    for ctx in (field_for(4), field_for(5), field_for(9), FiniteField(37), FiniteField(251)):
+        q = ctx.q
         basis = singular_constraint_basis(ctx, 4, (1, 2, 1))
         combo = rng.integers(0, q, size=(50, len(basis)), dtype=np.int64)
         got = _combine_basis(ctx, basis, combo)
