@@ -236,7 +236,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_singular(args) -> int:
     cur = _load_curve(args)
-    budget = args.m_budget or analysis.certificate_budget(cur.degree)
+    budget = analysis.certificate_budget(cur.degree) if args.m_budget is None else args.m_budget
     verdict = analysis.is_geometrically_nonsingular(cur, budget)
     payload = {
         "q": cur.ctx.q,

@@ -15,8 +15,13 @@ witness_cap) are re-verified before they enter it, all in one call of
 count_exact: an element-wise count from the field's tables that shares no
 table with the engine.
 
+A search is one pipeline over blocks of at most _CHUNK uint8 rows, drawn
+lazily in seed order and processed as they arrive, by a thread pool at most
+2 * workers blocks ahead when workers > 1.  The histogram and the best-N
+rows are running state, so memory does not grow with the sample count.
+
 Records carry the seed, the generator identifier and the full parameters,
-so a run can be replayed bit for bit.
+so a run can be replayed bit for bit, whatever the worker count.
 
 singular_constraint_basis and random_singular_instances live in analysis,
 which draws its forced-singular curves without numpy; they are imported
@@ -28,6 +33,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -235,21 +241,14 @@ def count_exact(ctx, degree: int, rows) -> list[int]:
     return counts
 
 
-def _exhaustive_chunks(q: int, n_monos: int, chunk: int):
-    """Canonical coefficient vectors in lexicographic blocks.
-
-    Yields (lead_index, start, stop) descriptors; the vectors of a block
-    share the leading-one position and enumerate the free suffix digits
-    in ascending mixed-radix order.
-    """
+def _exhaustive_blocks(q: int, n_monos: int):
+    """Canonical coefficient vectors in lexicographic blocks of at most
+    _CHUNK rows.  The vectors of a block share the leading-one position
+    and enumerate the free suffix digits in ascending mixed-radix order."""
     for lead in range(n_monos):
-        free = n_monos - 1 - lead
-        total = q ** free
-        start = 0
-        while start < total:
-            stop = min(start + chunk, total)
-            yield lead, start, stop
-            start = stop
+        total = q ** (n_monos - 1 - lead)
+        for start in range(0, total, _CHUNK):
+            yield _materialize_block(q, n_monos, lead, start, min(start + _CHUNK, total))
 
 
 def _materialize_block(q: int, n_monos: int, lead: int, start: int, stop: int):
@@ -263,8 +262,31 @@ def _materialize_block(q: int, n_monos: int, lead: int, start: int, stop: int):
     return block
 
 
+def _random_blocks(ctx, n_monos: int, seed: int, n_samples: int, basis):
+    """Seeded random coefficient vectors in blocks of at most _CHUNK rows,
+    drawn from one generator in block order.  With a basis, each row is a
+    random combination of the basis vectors instead."""
+    rng = np.random.default_rng(seed)
+    width = n_monos if basis is None else len(basis)
+    for start in range(0, n_samples, _CHUNK):
+        draw = rng.integers(0, ctx.q, size=(min(_CHUNK, n_samples - start), width), dtype=np.int64)
+        yield draw.astype(np.uint8) if basis is None else _combine_basis(ctx, basis, draw)
+
+
+def _in_order(process, blocks, workers: int):
+    """process(block) for each block, in block order: in the calling thread
+    for one worker, else in a pool, drawing at most 2 * workers blocks ahead."""
+    if workers == 1:
+        yield from map(process, blocks)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        while window := list(islice(blocks, 2 * workers)):
+            yield from pool.map(process, window)
+
+
 def run_search(task: SearchTask, workers: int = 1) -> SearchRecord:
-    """Execute a search task; results are worker-count independent."""
+    """Execute a search task, drawing blocks lazily in seed order, at most
+    2 * workers ahead; the record does not depend on the worker count."""
     ctx = task.ctx
     q = ctx.q
     if q > _Q_MAX:
@@ -304,11 +326,7 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchRecord:
                 f"exhaustive search needs {total} canonical forms, over the "
                 f"budget {task.budget}"
             )
-        blocks = list(_exhaustive_chunks(q, n_monos, _CHUNK))
-
-        def produce(block):
-            lead, start, stop = block
-            return _materialize_block(q, n_monos, lead, start, stop)
+        blocks = _exhaustive_blocks(q, n_monos)
 
     elif task.mode in ("random", "constrained_random"):
         if task.seed is None or task.n_samples is None:
@@ -321,29 +339,17 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchRecord:
         if task.mode == "constrained_random":
             if task.singular_at is None:
                 raise ValueError("constrained_random needs the singular point")
+            if task.degree < 2:
+                raise ValueError(f"constrained_random needs degree >= 2, got {task.degree}")
             nullbasis = singular_constraint_basis(ctx, task.degree, task.singular_at)
-        rng = np.random.default_rng(task.seed)
-        blocks = []
-        for start in range(0, task.n_samples, _CHUNK):
-            take = min(_CHUNK, task.n_samples - start)
-            if nullbasis is None:
-                blocks.append(
-                    rng.integers(0, q, size=(take, n_monos), dtype=np.int64).astype(np.uint8)
-                )
-            else:
-                combo = rng.integers(0, q, size=(take, len(nullbasis)), dtype=np.int64)
-                blocks.append(_combine_basis(ctx, nullbasis, combo))
-
-        def produce(block):
-            return block
+        blocks = _random_blocks(ctx, n_monos, task.seed, task.n_samples, nullbasis)
 
     else:
         raise ValueError(f"unknown search mode {task.mode!r}")
 
     engine = _engine(ctx, task.degree, task.require_no_linear_component)
 
-    def process(block):
-        coeffs = produce(block)
+    def process(coeffs):
         nonzero = coeffs.any(axis=1)
         zero_dropped = int((~nonzero).sum())
         coeffs = coeffs[nonzero]
@@ -362,14 +368,8 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchRecord:
         rows = coeffs[np.nonzero(counts == best)[0][: task.witness_cap]]
         return zero_dropped, lin_dropped, hist, best, rows
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(process, blocks))
-    else:
-        results = [process(b) for b in blocks]
-
     best_rows: list = []
-    for zero_dropped, lin_dropped, hist, best, rows in results:
+    for zero_dropped, lin_dropped, hist, best, rows in _in_order(process, blocks, workers):
         record.discarded_zero += zero_dropped
         record.discarded_linear += lin_dropped
         for value, times in hist.items():

@@ -95,6 +95,18 @@ def test_singular_subcommand(capsys):
     assert payload["geometric"]["witness_degree_exact"] is True
 
 
+@pytest.mark.parametrize("command", ["singular", "bounds"])
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_nonpositive_m_budget_refused(capsys, command, budget):
+    """A budget below 1 is refused, never replaced by the default one."""
+    code, out, err = run_cli(
+        capsys, command, "--field", "p=5,k=1", "--inline", "0 2 1 1; 3 0 0 4",
+        "--m-budget", budget, "--no-timestamp",
+    )
+    assert code == 1 and out == ""
+    assert err == "error: m_budget must be >= 1\n"
+
+
 def test_frobenius_subcommand(capsys):
     code, out, _ = run_cli(
         capsys, "frobenius", "--field", "p=3,k=2", "--catalog", "hermitian",
@@ -226,8 +238,10 @@ def test_search_random_missing_seed(capsys):
     (["--degree", "2", "--samples", "5"], "exhaustive searches take no n_samples"),
     (["--degree", "3", "--mode", "random", "--seed", "1", "--samples", "5",
       "--singular-at", "0:0:1"], "singular_at is for constrained_random"),
+    (["--degree", "1", "--mode", "constrained-random", "--seed", "1", "--samples", "5",
+      "--singular-at", "0:0:1"], "constrained_random needs degree >= 2"),
 ], ids=["negative-degree", "no-samples", "negative-witness-cap", "zero-workers",
-        "exhaustive-seed", "exhaustive-samples", "random-singular-at"])
+        "exhaustive-seed", "exhaustive-samples", "random-singular-at", "constrained-degree-1"])
 def test_search_refuses_invalid_parameters(capsys, extra, message):
     code, out, err = run_cli(capsys, "search", "--field", "p=3,k=1", *extra, "--no-timestamp")
     assert code == 1 and out == ""

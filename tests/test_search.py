@@ -51,12 +51,24 @@ def test_exhaustive_budget_refused():
         run_search(task)
 
 
-def test_worker_count_independence():
-    t1 = SearchTask(ctx=field_for(3), degree=2, mode="exhaustive",
-                    require_no_linear_component=True)
-    r1 = run_search(t1, workers=1)
-    r2 = run_search(t1, workers=4)
-    assert r1.to_json_dict() == r2.to_json_dict()
+@pytest.mark.parametrize("task", [
+    SearchTask(ctx=field_for(3), degree=2, mode="exhaustive",
+               require_no_linear_component=True),
+    SearchTask(ctx=field_for(2), degree=4, mode="exhaustive",
+               require_no_linear_component=True),
+    SearchTask(ctx=field_for(4), degree=4, mode="random", seed=5, n_samples=40_000,
+               require_no_linear_component=True),
+    SearchTask(ctx=field_for(9), degree=3, mode="constrained_random", seed=6,
+               n_samples=40_000, singular_at=(0, 0, 1)),
+], ids=["exhaustive-gf3-conics", "exhaustive-gf2-quartics", "random-gf4-quartics",
+        "constrained-gf9-cubics"])
+def test_worker_count_independence(task):
+    """One block for GF(3) conics; the others span several blocks (GF(2)
+    quartics 15, the random searches 3 each), so block order and the
+    windows of blocks drawn ahead for the pool both play a part."""
+    expected = run_search(task, workers=1).to_json_dict()
+    for workers in (2, 3, 4):
+        assert run_search(task, workers=workers).to_json_dict() == expected
 
 
 def test_random_replay_bit_for_bit():
@@ -87,9 +99,11 @@ def test_random_requires_seed_and_samples():
     ({"singular_at": (0, 0, 1)}, 1, "singular_at is for constrained_random"),
     ({"mode": "random", "seed": 1, "n_samples": 5, "singular_at": (0, 0, 1)},
      1, "singular_at is for constrained_random"),
+    ({"mode": "constrained_random", "degree": 1, "seed": 1, "n_samples": 5,
+      "singular_at": (0, 0, 1)}, 1, "constrained_random needs degree >= 2"),
 ], ids=["negative-degree", "no-samples", "negative-samples", "negative-witness-cap",
         "zero-workers", "negative-workers", "exhaustive-seed", "exhaustive-samples",
-        "exhaustive-singular-at", "random-singular-at"])
+        "exhaustive-singular-at", "random-singular-at", "constrained-degree-1"])
 def test_invalid_search_parameters_refused(engine_builds, changes, workers, match):
     """Refused before any engine is built; exhaustive GF(3) conics would
     otherwise find 35 witnesses."""
@@ -412,3 +426,26 @@ def test_search_record_memory_budget():
         tracemalloc.stop()
     assert len(record.witnesses) == 64
     assert retained < 32_000
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_random_search_memory_does_not_grow_with_samples(workers):
+    """Blocks are drawn as they are processed and merged into running state,
+    so the traced peak of a search with 32 blocks is about that of one with
+    8, which fills a window of 2 * workers blocks (ratio 1.0 at one worker,
+    0.97-1.08 at three; 2.5 and 1.9-2.0 when every block is drawn up front
+    and every outcome kept)."""
+
+    def peak(n_samples):
+        task = SearchTask(ctx=field_for(2), degree=2, mode="random", seed=3,
+                          n_samples=n_samples)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_search(task, workers=workers)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(search._CHUNK)  # builds and caches the plane and the engine
+    assert peak(32 * search._CHUNK) / peak(8 * search._CHUNK) < 1.5
