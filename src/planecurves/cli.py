@@ -312,7 +312,12 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_verify_catalog(args) -> int:
-    q_list = [int(x) for x in args.q.split(",") if x]
+    q_list = []
+    for piece in filter(None, args.q.split(",")):
+        try:
+            q_list.append(int(piece))
+        except ValueError:
+            raise ValueError(f"--q needs comma-separated integers, got {piece!r}") from None
     rows = catalog.verify_catalog(q_list, check_nonsingular=not args.skip_nonsingular)
     failures = [
         r for r in rows

@@ -46,7 +46,7 @@ class PlaneCurve:
         # degree 0 (a nonzero constant) is allowed so that partial
         # derivatives of lines stay representable; the parsers reject it
         if degree < 0:
-            raise ValueError("curve degree must be >= 1")
+            raise ValueError("curve degree must be >= 0")
         clean: dict[Exponents, int] = {}
         for exps, coeff in terms.items():
             i, j, k = exps

@@ -65,6 +65,10 @@ def _checked_modulus(modulus: Sequence[int], degree: int, q: int) -> tuple[int, 
         raise ValueError(f"modulus must be monic of degree exactly {degree}")
     if any(not 0 <= c < q for c in modulus):
         raise ValueError(f"modulus coefficients must lie in [0, {q})")
+    if degree == 1 and modulus != (0, 1):
+        # every t + c gives the same codes and tables; t alone keeps
+        # equal fields equal
+        raise ValueError(f"degree-1 modulus {list(modulus)} must be [0, 1]")
     return modulus
 
 
@@ -305,7 +309,8 @@ class FiniteField(_FieldOps):
 
     The modulus is stored as k+1 coefficients in [0, p), low degree first,
     with leading coefficient 1.  Irreducibility is verified at construction
-    by trial division against all monic polynomials of degree <= k/2.
+    by Ben-Or's test (unipoly.is_irreducible).  GF(p) accepts only the
+    modulus (0, 1).
     """
 
     def __init__(self, p: int, k: int = 1, modulus: Optional[Sequence[int]] = None):

@@ -18,7 +18,8 @@ along the way splits the modulus and the affected piece is redone
 A ring element is coded like a tower element of field.py: an integer
 whose base-q digits are its coordinates in 1, y, ..., y^(deg u - 1).
 The ring is a _FieldOps context with its own inversion, so unipoly's
-gcd, division and powering serve polynomials over it unchanged.
+gcd, division and powering serve polynomials over it unchanged, and
+unipoly.least_root_degree gives the least degree of a point over it.
 
 Each branch returns the least extension degree of a point it finds, or
 None, and _decompose also returns whether that degree is exact.  It is
@@ -127,14 +128,6 @@ def _bivariate_to_tri(ctx, coeffs):
     return terms
 
 
-def _bi_content(ctx, coeffs):
-    cont: list[int] = []
-    for poly in coeffs:
-        if poly:
-            cont = unipoly.gcd(ctx, cont, poly) if cont else unipoly.monic(ctx, poly)
-    return cont
-
-
 def _bi_divide_content(ctx, coeffs, cont):
     out = []
     for poly in coeffs:
@@ -149,7 +142,7 @@ def _bi_divide_content(ctx, coeffs, cont):
 
 
 def _bi_primitive(ctx, coeffs):
-    cont = _bi_content(ctx, coeffs)
+    cont = unipoly.gcd_all(ctx, coeffs)
     if unipoly.deg(cont) == 0:
         return [list(p) for p in coeffs]
     return _bi_divide_content(ctx, coeffs, cont)
@@ -186,7 +179,7 @@ def _bi_gcd(ctx, f, g):
         return g
     if not g:
         return f
-    cf, cg = _bi_content(ctx, f), _bi_content(ctx, g)
+    cf, cg = unipoly.gcd_all(ctx, f), unipoly.gcd_all(ctx, g)
     f, g = _bi_primitive(ctx, f), _bi_primitive(ctx, g)
     while True:
         if len(g) == 1:
@@ -272,12 +265,10 @@ def _restrict_line_case(ctx, system, line):
     if infinity_root:
         # a rational common root, or the whole line lies in the locus
         return 1
-    g: list[int] = []
-    for poly in dehoms:
-        g = unipoly.gcd(ctx, g, poly) if g else unipoly.monic(ctx, poly)
-        if unipoly.deg(g) == 0:
-            return None
-    return min(unipoly.distinct_degree_pieces(ctx, g))
+    g = unipoly.gcd_all(ctx, dehoms)
+    if unipoly.deg(g) == 0:
+        return None
+    return unipoly.least_root_degree(ctx, g, ctx.q)
 
 
 def _interp_field(ctx, npoints: int):
@@ -362,24 +353,14 @@ def _ring_candidates(ctx, chart_all, u, e):
     fields GF(q^e) of GF(q)[y]/(u), or None; raises _Split on a zero
     divisor."""
     ring = _QuotRing(ctx, u)
-    zpolys = [unipoly.trim([ring.reduce(p) for p in chart]) for chart in chart_all]
-    zpolys = [zp for zp in zpolys if zp]
-    if not zpolys:
+    g = unipoly.gcd_all(ring, (unipoly.trim([ring.reduce(p) for p in chart])
+                               for chart in chart_all))
+    if not g:
         raise RuntimeError("entire system vanished on a candidate modulus")
-    g: list[int] = []
-    for zp in zpolys:
-        g = unipoly.gcd(ring, g, zp) if g else unipoly.monic(ring, zp)
-        if unipoly.deg(g) == 0:
-            return None
-    # the first f with gcd(g, z^(Q^f) - z) nontrivial, Q = q^e
-    Q = ctx.q ** e
-    zpow = unipoly.mod(ring, [0, 1], g)
-    for f in range(1, len(g)):
-        zpow = unipoly.pow_mod(ring, zpow, Q, g)
-        h = unipoly.gcd(ring, g, unipoly.sub(ring, zpow, [0, 1]))
-        if unipoly.deg(h) >= 1:
-            return e * f
-    raise RuntimeError("a polynomial of degree n must have a root of degree <= n")
+    if unipoly.deg(g) == 0:
+        return None
+    # a root of degree f over the residue fields GF(q^e) has degree e*f
+    return e * unipoly.least_root_degree(ring, g, ctx.q ** e)
 
 
 def _curve_min_degree(ctx, terms, enum_cap):

@@ -8,10 +8,15 @@ GF(p), GF(p^k) and tower extensions.  The arithmetic is unchecked
 moduli that PlaneCurve, the parsers, plane.normalize and the public context
 operations validated.  Inverses go through F.inv, which raises on zero and,
 in locus's quotient rings, on zero divisors.
+
+Irreducibility (Ben-Or's test, so the default moduli), root counts,
+distinct-degree pieces and least root degrees all read one scan,
+frobenius_gcds: gcd(f, x^(Q^e) - x) for e = 1, 2, ...
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Sequence
 
 
@@ -172,27 +177,42 @@ def resultant(F, f, g):
         f, g = g, r
 
 
+def frobenius_gcds(F, f, Q: int):
+    """gcd(f, x^(Q^e) - x) for e = 1, ..., deg f, lazily: the monic product of
+    f's distinct irreducible factors of degree dividing e over GF(Q).  Q is
+    F.q for a field and q^e for locus's GF(q)[y]/(u), u a product of
+    degree-e irreducibles; nothing else raises x to Frobenius powers."""
+    xpow = [0, 1]
+    for _ in range(deg(f)):
+        xpow = pow_mod(F, xpow, Q, f)
+        yield gcd(F, f, sub(F, xpow, [0, 1]))
+
+
+def least_root_degree(F, f, Q: int) -> int:
+    """Least e such that f, of degree >= 1, has a root in GF(Q^e)."""
+    for e, g in enumerate(frobenius_gcds(F, f, Q), 1):
+        if deg(g) >= 1:
+            return e
+    raise RuntimeError("a polynomial of degree n must have a root of degree <= n")
+
+
+def gcd_all(F, polys):
+    """Monic gcd of the polynomials, [] if all are zero; stops at 1."""
+    g: list[int] = []
+    for f in polys:
+        # gcd([], f) would invert f's leading coefficient twice
+        g = gcd(F, g, f) if g else monic(F, f)
+        if deg(g) == 0:
+            break
+    return g
+
+
 def is_irreducible(F, f) -> bool:
-    """Trial division by all monic polynomials of degree <= deg(f)/2."""
+    """Ben-Or's test: f of degree d >= 1 is irreducible iff it has no
+    irreducible factor of degree <= d/2, i.e. the first d//2 Frobenius
+    gcds are all 1."""
     d = deg(f)
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    q = F.q
-    for dd in range(1, d // 2 + 1):
-        for code in range(q ** dd):
-            div = _decode(F, code, dd) + [1]
-            if not mod(F, f, div):
-                return False
-    return True
-
-
-def _decode(F, code: int, length: int) -> list[int]:
-    out = [0] * length
-    for i in range(length):
-        code, out[i] = code // F.q, code % F.q
-    return out
+    return d >= 1 and all(deg(g) == 0 for g in islice(frobenius_gcds(F, f, F.q), d // 2))
 
 
 def find_irreducible(F, m: int) -> tuple[int, ...]:
@@ -204,21 +224,20 @@ def find_irreducible(F, m: int) -> tuple[int, ...]:
     if m == 1:
         return (0, 1)
     for code in range(F.q ** m):
-        cand = _decode(F, code, m) + [1]
+        cand = [0] * m + [1]
+        for i in range(m):
+            code, cand[i] = divmod(code, F.q)
         if is_irreducible(F, cand):
             return tuple(cand)
     raise RuntimeError("no irreducible polynomial found (impossible)")
 
 
 def root_count_in_field(F, f) -> int:
-    """Number of distinct roots of f in F, via gcd with x^q - x."""
+    """Number of distinct roots of f in F: the degree of gcd(f, x^q - x),
+    or 0 for a nonzero constant, which has no Frobenius gcds."""
     if not f:
         raise ValueError("zero polynomial has every root")
-    if deg(f) == 0:
-        return 0
-    xq = pow_mod(F, [0, 1], F.q, f)
-    g = gcd(F, sub(F, xq, [0, 1]), f)
-    return deg(g)
+    return deg(next(frobenius_gcds(F, f, F.q), [1]))
 
 
 def distinct_degree_pieces(F, f):
@@ -228,13 +247,8 @@ def distinct_degree_pieces(F, f):
     irreducible factors of f of degree exactly e.  Repeated factors are
     deliberately collapsed: gcd(f, x^(q^e) - x) is squarefree.
     """
-    f = monic(F, f)
-    d = deg(f)
     pieces: dict[int, list[int]] = {}
-    xpow = [0, 1]
-    for e in range(1, d + 1):
-        xpow = pow_mod(F, xpow, F.q, f)
-        g = gcd(F, sub(F, xpow, [0, 1]), f)
+    for e, g in enumerate(frobenius_gcds(F, f, F.q), 1):
         # remove factors of degree properly dividing e, already collected
         for ee, piece in pieces.items():
             if e % ee == 0:

@@ -59,6 +59,19 @@ def test_field_flag_with_modulus(capsys):
     assert json.loads(out)["q"] == 4
 
 
+def test_prime_field_modulus_other_than_t_refused(capsys, tmp_path):
+    """t + c for c != 0 codes GF(p) like t, so it would make equal fields unequal."""
+    refusal = "degree-1 modulus [3, 1] must be [0, 1]"
+    code, out, err = run_cli(capsys, "field-info", "--field", "p=5,k=1,mod=3,1")
+    assert (code, out, err) == (1, "", f"error: {refusal}\n")
+    path = tmp_path / "line.curve"
+    path.write_text("p=5 k=1 mod=3,1\nd=1\n1 0 0 1\n")
+    code, out, err = run_cli(capsys, "count", "--curve", str(path), "--field", "p=5,k=1")
+    assert (code, out, err) == (1, "", f"error: line 1: {refusal}\n")
+    code, out, _ = run_cli(capsys, "field-info", "--field", "p=5,k=1,mod=0,1", "--no-timestamp")
+    assert code == 0 and json.loads(out)["spec"] == "p=5 k=1 mod=0,1"
+
+
 def test_bounds_exit_code_signals_violation(capsys):
     code, out, _ = run_cli(
         capsys, "bounds", "--field", "p=2,k=2", "--catalog", "exceptional_quartic",
@@ -192,6 +205,11 @@ def test_malformed_catalog_parameter_refused(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_verify_catalog_names_a_bad_q(capsys):
+    code, out, err = run_cli(capsys, "verify-catalog", "--q", "2,x")
+    assert (code, out, err) == (1, "", "error: --q needs comma-separated integers, got 'x'\n")
 
 
 def test_verify_catalog_exit_zero(capsys):

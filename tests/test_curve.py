@@ -34,6 +34,8 @@ def test_curve_make_validation():
         PlaneCurve(F3, 2, {(2, 0, 0): 0})
     with pytest.raises(ValueError):
         PlaneCurve(F3, 2, {(2, 0, 0): 5})  # coefficient out of range
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        PlaneCurve(F3, -1, {(0, 0, 1): 1})
 
 
 def test_quartic_evaluation(gf4):

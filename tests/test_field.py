@@ -4,6 +4,7 @@ import random
 import pytest
 
 from planecurves import unipoly
+from planecurves.locus import _QuotRing
 from planecurves.catalog import exceptional_quartic
 from planecurves.curve import lift_curve
 from planecurves.field import ExtensionField, FiniteField, _FieldOps
@@ -17,6 +18,18 @@ def test_default_moduli_are_deterministic_and_expected():
     assert FiniteField(5, 1).modulus == (0, 1)      # the k=1 convention
     # same (p, k) twice yields the identical context
     assert FiniteField(3, 2) == FiniteField(3, 2)
+
+
+def test_prime_field_accepts_only_the_modulus_t():
+    """Every t + c codes GF(p) alike; accepting them made equal fields unequal."""
+    assert FiniteField(5, 1, (0, 1)) == FiniteField(5)
+    for bad in ((3, 1), (1, 1)):
+        with pytest.raises(ValueError, match="degree-1 modulus"):
+            FiniteField(5, 1, bad)
+        with pytest.raises(ValueError, match="degree-1 modulus"):
+            ExtensionField(FiniteField(2, 2), 1, bad)
+    with pytest.raises(ValueError, match="degree-1 modulus"):
+        FiniteField.from_spec("p=5 k=1 mod=3,1")
 
 
 def test_reducible_modulus_rejected():
@@ -230,3 +243,127 @@ def test_unipoly_trusts_its_inputs(monkeypatch, field):
     assert len(calls) < 500
     assert unipoly.add(F, unipoly.mul(F, u, g), unipoly.mul(F, v, h)) == d
     assert (res == 0) == (unipoly.deg(d) >= 1)
+
+
+def _trial_division_irreducible(F, f):
+    """The trial division that is_irreducible replaced, kept as a reference:
+    f is irreducible iff no monic polynomial of degree <= deg(f)/2 divides it."""
+    d = unipoly.deg(f)
+    if d < 1:
+        return False
+    for dd in range(1, d // 2 + 1):
+        for low in itertools.product(range(F.q), repeat=dd):
+            if not unipoly.mod(F, f, list(low) + [1]):
+                return False
+    return True
+
+
+def _monic_polys(F, n):
+    for low in itertools.product(range(F.q), repeat=n):
+        yield list(low) + [1]
+
+
+# field id -> (field, largest degree enumerated)
+SMALL_FIELDS = {
+    "GF(2)": (lambda: FiniteField(2), 5), "GF(3)": (lambda: FiniteField(3), 5),
+    "GF(4)": (lambda: FiniteField(2, 2), 4), "GF(5)": (lambda: FiniteField(5), 4),
+    "GF(7)": (lambda: FiniteField(7), 3), "GF(8)": (lambda: FiniteField(2, 3), 3),
+    "GF(9)": (lambda: FiniteField(3, 2), 3),
+    "GF(4)^2": (lambda: ExtensionField(FiniteField(2, 2), 2), 2),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_FIELDS)
+def test_ben_or_matches_trial_division(name):
+    make, top = SMALL_FIELDS[name]
+    F = make()
+    for n in range(top + 1):
+        for f in _monic_polys(F, n):
+            assert unipoly.is_irreducible(F, f) == _trial_division_irreducible(F, f), f
+
+
+def _mobius(n):
+    out, m, p = 1, n, 2
+    while m > 1:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return out
+
+
+@pytest.mark.parametrize("name", SMALL_FIELDS)
+def test_irreducible_counts_follow_gauss(name):
+    """#monic irreducibles of degree n over GF(q) = (1/n) sum_{d|n} mu(d) q^(n/d)."""
+    make, top = SMALL_FIELDS[name]
+    F = make()
+    for n in range(1, top + 2):
+        count = sum(unipoly.is_irreducible(F, f) for f in _monic_polys(F, n))
+        gauss = sum(_mobius(d) * F.q ** (n // d) for d in range(1, n + 1) if n % d == 0)
+        assert count * n == gauss, (n, count)
+
+
+def test_default_moduli_pinned():
+    """Moduli fix every context's element coding, so they must never move."""
+    defaults = {
+        (2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1), (2, 4): (1, 1, 0, 0, 1),
+        (2, 5): (1, 0, 1, 0, 0, 1), (2, 6): (1, 1, 0, 0, 0, 0, 1),
+        (2, 7): (1, 1, 0, 0, 0, 0, 0, 1), (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+        (3, 2): (1, 0, 1), (3, 3): (1, 2, 0, 1), (3, 4): (2, 1, 0, 0, 1),
+        (3, 5): (1, 2, 0, 0, 0, 1), (5, 2): (2, 0, 1), (5, 3): (1, 1, 0, 1),
+        (5, 4): (2, 0, 0, 0, 1), (7, 2): (1, 0, 1), (7, 3): (2, 0, 0, 1),
+        (11, 2): (1, 0, 1), (13, 2): (2, 0, 1), (17, 2): (3, 0, 1),
+    }
+    for (p, k), modulus in defaults.items():
+        assert FiniteField(p, k).modulus == modulus, (p, k)
+    towers = {
+        ((2, 2), 2): (2, 1, 1), ((2, 2), 3): (2, 0, 0, 1), ((2, 2), 4): (1, 2, 1, 0, 1),
+        ((2, 3), 2): (1, 1, 1), ((2, 3), 3): (2, 1, 0, 1),
+        ((3, 2), 2): (4, 0, 1), ((3, 2), 3): (3, 1, 0, 1),
+        ((5, 1), 5): (1, 4, 0, 0, 0, 1), ((5, 1), 6): (2, 1, 0, 0, 0, 0, 1),
+        ((2, 4), 6): (13, 2, 1, 0, 0, 0, 1),
+    }
+    for ((p, k), m), modulus in towers.items():
+        assert unipoly.find_irreducible(FiniteField(p, k), m) == modulus, (p, k, m)
+    assert FiniteField(2, 2).extension(2).extension(2).modulus == (8, 1, 1)
+
+
+def test_find_irreducible_operation_bound(monkeypatch):
+    """Trial division made 262 612 divisions here; Ben-Or's test needs few."""
+    calls = []
+    divmod_ = unipoly.divmod_
+
+    def counted(F, f, g):
+        calls.append(None)
+        return divmod_(F, f, g)
+
+    monkeypatch.setattr(unipoly, "divmod_", counted)
+    assert unipoly.find_irreducible(FiniteField(2, 3), 8) == (3, 2, 0, 1, 0, 0, 0, 0, 1)
+    assert len(calls) < 20_000
+
+
+def _with_repeated_factors(F, rng):
+    a = [rng.randrange(F.q) for _ in range(rng.randrange(1, 4))] + [1]
+    b = [rng.randrange(F.q) for _ in range(rng.randrange(0, 5))] + [1]
+    return unipoly.mul(F, unipoly.mul(F, a, a), b)
+
+
+@pytest.mark.parametrize("p,k,e", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2)])
+def test_least_root_degree_is_the_least_piece(p, k, e):
+    """The first nontrivial Frobenius gcd is the least distinct-degree piece,
+    over a field and over a quotient ring coded like its tower."""
+    F = FiniteField(p, k)
+    ext = F.extension(e)
+    ring = _QuotRing(F, ext.modulus)
+    rng = random.Random(p * 100 + k * 10 + e)
+    for _ in range(40):
+        f = _with_repeated_factors(F, rng)
+        pieces = unipoly.distinct_degree_pieces(F, f)
+        assert unipoly.least_root_degree(F, f, F.q) == min(pieces)
+        assert unipoly.root_count_in_field(F, f) == (unipoly.deg(pieces[1]) if 1 in pieces else 0)
+        g = _with_repeated_factors(ext, rng)
+        least_ext = unipoly.least_root_degree(ext, g, ext.q)
+        assert unipoly.least_root_degree(ring, g, ext.q) == least_ext
+        assert least_ext == min(unipoly.distinct_degree_pieces(ext, g))
