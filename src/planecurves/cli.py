@@ -318,7 +318,10 @@ def cmd_verify_catalog(args) -> int:
             q_list.append(int(piece))
         except ValueError:
             raise ValueError(f"--q needs comma-separated integers, got {piece!r}") from None
-    rows = catalog.verify_catalog(q_list, check_nonsingular=not args.skip_nonsingular)
+    if not q_list:
+        raise ValueError(f"--q needs at least one integer, got {args.q!r}")
+    rows = catalog.verify_catalog(list(dict.fromkeys(q_list)),
+                                  check_nonsingular=not args.skip_nonsingular)
     failures = [
         r for r in rows
         if r.get("count_ok") is False

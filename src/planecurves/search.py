@@ -4,7 +4,7 @@ Coefficient vectors follow the canonical monomial order (ascending lex on
 exponent triples); the scalar redundancy is killed by fixing the first
 nonzero coefficient to 1 in exhaustive mode.
 
-Batches are handled by one exact kernel for every q = p^k: a coefficient
+Batches are counted by one exact kernel for every q = p^k: a coefficient
 becomes its k base-p digits and a GF(q) value v the k x k GF(p) matrix of
 multiplication by v, so evaluating a batch at every point, restricting it
 to every line, or combining basis vectors is one float64 matmul reduced
@@ -12,8 +12,8 @@ mod p.  The linear-component filter is read off the point counts.  An
 engine's tables depend only on (field, degree, filter), so a small bounded
 cache reuses them across searches.  The witnesses a record keeps (at most
 witness_cap) are re-verified before they enter it, all in one call of
-count_exact: an element-wise count from the field's tables that shares no
-table with the engine.
+count_exact: a numpy fold of GF(q) codes through the field's own add and
+mul tables, in row slices, that shares no table with the engine.
 
 A search is one pipeline over blocks of at most _CHUNK uint8 rows, drawn
 lazily in seed order and processed as they arrive, by a thread pool at most
@@ -45,7 +45,7 @@ from .curve import PlaneCurve, monomials, restriction_map
 GENERATOR_ID = "numpy-pcg64"
 ENGINE_ID = "numpy-gfp-linear-float64"
 _CHUNK = 1 << 14
-# float64 elements in one transient matmul product; larger batches are
+# elements in one transient matmul product or fold; larger batches are
 # processed in row slices of at most this size.
 _SLICE = 1 << 14
 _Q_MAX = 256  # coefficient rows are uint8 codes
@@ -204,40 +204,38 @@ def _engine(ctx, degree: int, with_linear_flags: bool) -> _Engine:
 
 
 def count_exact(ctx, degree: int, rows) -> list[int]:
-    """Rational point count of each coefficient row, computed element by
-    element: the re-verification of engine counts.
+    """Rational point count of each coefficient row: the re-verification
+    of engine counts, which reads nothing of _Engine.
 
-    It shares nothing with _Engine but the field: each code is checked
-    once, then one pass over the plane computes every monomial's value at
-    a point from the field's tables and takes each row's dot product
-    against those values.
+    Every monomial is evaluated at every point from the field's mul table;
+    then, in row slices, each row's terms are summed through the add table
+    and its zero sums counted.  Codes may be Python or numpy integers.
     """
     q = ctx.q
     if q > _Q_MAX:
         raise ValueError(f"count_exact needs q <= {_Q_MAX} (a tabled field), got q = {q}")
     monos = monomials(degree)
-    terms = []
-    for row in rows:
-        codes = [ctx.check(int(c)) for c in row]
-        if len(codes) != len(monos) or not any(codes):
-            raise ValueError(f"a row needs {len(monos)} codes, not all zero")
-        terms.append([(i, c * q) for i, c in enumerate(codes) if c])
-    if not terms:
+    codes = [[ctx.check(c.item() if isinstance(c, np.integer) else c)
+              for c in np.asarray(row, dtype=object).tolist()] for row in rows]
+    if any(len(row) != len(monos) or not any(row) for row in codes):
+        raise ValueError(f"a row needs {len(monos)} codes, not all zero")
+    if not codes:
         return []
-    add, mul = ctx._add_t, ctx._mul_t
-    counts = [0] * len(terms)
-    for point in plane.enumerate_points(ctx):
-        xs, ys, zs = ([1] * (degree + 1) for _ in range(3))
-        for pows, c in zip((xs, ys, zs), point):
-            for e in range(degree):
-                pows[e + 1] = mul[pows[e] * q + c]
-        values = [mul[xs[i] * q + mul[ys[j] * q + zs[k]]] for i, j, k in monos]
-        for r, row in enumerate(terms):
-            acc = 0
-            for i, cq in row:
-                acc = add[acc * q + mul[cq + values[i]]]
-            if not acc:
-                counts[r] += 1
+    mul_t = np.array(ctx._mul_t, dtype=np.uint8).reshape(q, q)
+    points = np.array(plane.enumerate_points(ctx), dtype=np.uint8).T
+    pows = np.ones((degree + 1, 3, points.shape[1]), dtype=np.uint8)
+    for e in range(degree):
+        pows[e + 1] = mul_t[pows[e], points]
+    i, j, k = np.array(monos).T
+    values = mul_t[pows[i, 0], mul_t[pows[j, 1], pows[k, 2]]]
+    add, mul = np.array(ctx._add_t, dtype=np.intp), mul_t.ravel().astype(np.intp)
+    coeffs = np.array(codes, dtype=np.intp) * q
+    counts = []
+    for sl in _slices(len(codes), values.shape[1]):
+        sums = 0
+        for c, vec in zip(coeffs[sl].T, values):
+            sums = add[sums * q + mul[c[:, None] + vec]]
+        counts += (sums == 0).sum(axis=1).tolist()
     return counts
 
 

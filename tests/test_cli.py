@@ -212,6 +212,23 @@ def test_verify_catalog_names_a_bad_q(capsys):
     assert (code, out, err) == (1, "", "error: --q needs comma-separated integers, got 'x'\n")
 
 
+@pytest.mark.parametrize("q", [",,,", "", ","])
+def test_verify_catalog_refuses_an_empty_q_list(capsys, q):
+    code, out, err = run_cli(capsys, "verify-catalog", "--q", q)
+    assert (code, out, err) == (1, "", f"error: --q needs at least one integer, got {q!r}\n")
+
+
+def test_verify_catalog_checks_each_q_once(capsys):
+    def qs(q_arg):
+        code, out, _ = run_cli(capsys, "verify-catalog", "--q", q_arg, "--skip-nonsingular",
+                               "--no-timestamp")
+        assert code == 0
+        return [row["q"] for row in json.loads(out)["rows"]]
+
+    once = qs("3,2")
+    assert qs("3,2,3,,02") == once and once[0] == 3 and set(once) == {2, 3}
+
+
 def test_verify_catalog_exit_zero(capsys):
     code, out, _ = run_cli(
         capsys, "verify-catalog", "--q", "2,3", "--skip-nonsingular",

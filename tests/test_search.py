@@ -8,7 +8,7 @@ import pytest
 
 from planecurves import analysis, plane, search
 from planecurves.curve import PlaneCurve, curve_mul, has_linear_component, monomials
-from planecurves.field import FiniteField
+from planecurves.field import ExtensionField, FiniteField
 from planecurves.search import (
     SearchTask,
     _combine_basis,
@@ -181,19 +181,22 @@ def test_engine_batches_without_candidates():
 
 def test_combine_basis_matches_elementwise_sum():
     """Including primes above 36, whose base-p digits numpy's base_repr
-    cannot write."""
+    cannot write, and a tower."""
     rng = np.random.default_rng(11)
-    for ctx in (field_for(4), field_for(5), field_for(9), FiniteField(37), FiniteField(251)):
+    fields = [field_for(q) for q in (2, 4, 5, 8, 9)]
+    fields += [FiniteField(37), FiniteField(251), ExtensionField(field_for(4), 2)]
+    for ctx in fields:
         q = ctx.q
-        basis = singular_constraint_basis(ctx, 4, (1, 2, 1))
-        combo = rng.integers(0, q, size=(50, len(basis)), dtype=np.int64)
-        got = _combine_basis(ctx, basis, combo)
-        for out_row, coeffs in zip(got, combo):
-            want = [0] * len(basis[0])
-            for c, vec in zip(coeffs, basis):
-                for i, v in enumerate(vec):
-                    want[i] = ctx.add(want[i], ctx.mul(int(c), v))
-            assert out_row.tolist() == want
+        for degree in range(2, 6):
+            basis = singular_constraint_basis(ctx, degree, (1, 2 % q, 1))
+            combo = rng.integers(0, q, size=(50, len(basis)), dtype=np.int64)
+            got = _combine_basis(ctx, basis, combo)
+            for out_row, coeffs in zip(got, combo):
+                want = [0] * len(basis[0])
+                for c, vec in zip(coeffs, basis):
+                    for i, v in enumerate(vec):
+                        want[i] = ctx.add(want[i], ctx.mul(int(c), v))
+                assert out_row.tolist() == want
 
 
 # Records of two seeded searches, recorded before the counting engine was
