@@ -195,19 +195,15 @@ def tangent_line(curve: PlaneCurve, point) -> tuple:
 def intersection_multiplicity(curve: PlaneCurve, line, point):
     """Order of vanishing of the restriction at the point, or INFINITE.
 
-    The line is parameterized as s*P + t*Q for any second point Q on it;
-    the result does not depend on that choice.
+    The line is parameterized as s*P + t*Q, Q a point of plane.span(line)
+    other than P; the result does not depend on that choice.
     """
     ctx = curve.ctx
     point = plane.normalize(ctx, point)
     line = plane.normalize(ctx, line)
     if not plane.incident(ctx, point, line):
         raise ValueError("the point must lie on the line")
-    other = next(
-        p
-        for p in plane.get_plane(ctx).points_on_line(line)
-        if p != point
-    )
+    other = next(p for p in plane.span(ctx, line) if p != point)
     form = curve.restrict(point, other)
     order = form.vanishing_order_at_origin()
     if order is None:
@@ -280,16 +276,14 @@ def line_spectrum(curve: PlaneCurve, points=None) -> LineSpectrum:
 def line_spectrum_by_restriction(curve: PlaneCurve) -> dict:
     """Independent spectrum: per-line counts from restriction root counting.
 
-    Each line is restricted to a binary form whose rational projective
-    roots are counted; a vanishing restriction contributes a_(q+1).
+    Each line is restricted, through plane.span and not the incidence
+    cache, to a binary form whose rational projective roots are counted;
+    a vanishing restriction contributes a_(q+1).
     """
     ctx = curve.ctx
-    pl = plane.get_plane(ctx)
     a: dict[int, int] = {}
-    for li in range(len(pl.lines)):
-        pts = pl.points_on[li]
-        p_pt, q_pt = pl.points[pts[0]], pl.points[pts[1]]
-        form = curve.restrict(p_pt, q_pt)
+    for line in plane.enumerate_lines(ctx):
+        form = curve.restrict(*plane.span(ctx, line))
         if form.is_zero():
             i_count = ctx.q + 1
         else:

@@ -174,12 +174,6 @@ def bound_verdicts(
             "holds": weil_holds(n, q, d),
         },
     }
-    exceptional = False
-    if q == 4 and d == 4 and n == 14 and no_lin:
-        from .catalog import exceptional_quartic
-
-        target = exceptional_quartic(curve.ctx)
-        exceptional = equivalent_by_point_frames(curve, target) is not None
     return BoundReport(
         q=q,
         d=d,
@@ -187,8 +181,20 @@ def bound_verdicts(
         N=n,
         flags=flags,
         verdicts=verdicts,
-        exceptional=exceptional,
+        exceptional=no_lin and is_exceptional_quartic(curve, n),
     )
+
+
+def is_exceptional_quartic(curve: PlaneCurve, n: int) -> bool:
+    """True iff the curve, with n rational points, is projectively
+    equivalent to catalog.exceptional_quartic: the one known curve without
+    F_q-linear components above Sziklai's bound (q = 4, d = 4, N = 14).
+    Ruling out linear components is the caller's part."""
+    if (curve.ctx.q, curve.degree, n) != (4, 4, 14):
+        return False
+    from .catalog import exceptional_quartic
+
+    return equivalent_by_point_frames(curve, exceptional_quartic(curve.ctx)) is not None
 
 
 def step3_solution(q: int) -> dict:

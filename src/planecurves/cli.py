@@ -21,23 +21,21 @@ from .field import FiniteField
 
 
 def _parse_field_flag(text: str) -> FiniteField:
-    """Parse "p=<p>,k=<k>[,mod=<c0,c1,...>]" (commas inside mod allowed)."""
-    parts: dict[str, str] = {}
-    current = None
+    """Parse "p=<p>,k=<k>[,mod=<c0,c1,...>]" (commas inside mod allowed);
+    every key=value token goes on to from_spec, which refuses a repeat."""
+    tokens: list[str] = []
     for tok in text.split(","):
         if "=" in tok:
             key, _, val = tok.partition("=")
             key = key.strip()
             if key not in ("p", "k", "mod"):
                 raise ValueError(f"unknown field spec key {key!r}")
-            parts[key] = val
-            current = key
-        elif current == "mod":
-            parts["mod"] += "," + tok
+            tokens.append(f"{key}={val}")
+        elif tokens and tokens[-1].startswith("mod="):
+            tokens[-1] += "," + tok
         else:
             raise ValueError(f"bad field spec fragment {tok!r}")
-    spec = " ".join(f"{k}={v}" for k, v in parts.items())
-    return FiniteField.from_spec(spec)
+    return FiniteField.from_spec(" ".join(tokens))
 
 
 def _parse_catalog_params(entry: str, pieces) -> dict:
@@ -354,22 +352,20 @@ def cmd_search(args) -> int:
     record = search.run_search(task, workers=args.workers)
     rows = [("N", "count")] + [(k, v) for k, v in sorted(record.histogram.items())]
     _emit(args, record.to_json_dict(), csv_rows=rows)
-    threshold = (args.degree - 1) * ctx.q + 1
-    anomaly = False
-    if args.require_no_linear_component and record.best_N is not None:
-        if record.best_N > threshold:
-            anomaly = True
-            if ctx.q == 4 and args.degree == 4 and record.best_N == 14:
-                target = catalog.exceptional_quartic(ctx)
-                anomaly = any(
-                    bounds.equivalent_by_point_frames(w, target) is None
-                    for w in record.witnesses
-                )
-                hits, kept = record.histogram.get(14, 0), len(record.witnesses)
-                if hits > kept:
-                    sys.stderr.write(f"note: {kept} of {hits} N = 14 hits checked against the "
-                                     "exceptional quartic; raise --witness-cap to check all\n")
-    return 2 if anomaly else 0
+    best = record.best_N
+    # a constant (degree 0) is no curve, so no bound applies to it
+    if (args.degree < 1 or not args.require_no_linear_component or best is None
+            or best <= bounds.bound_values(ctx.q, args.degree).values["sziklai"]):
+        return 0
+    # above the bound is an anomaly unless every kept witness is the exceptional quartic
+    exceptional = [bounds.is_exceptional_quartic(w, best) for w in record.witnesses]
+    if not (exceptional and all(exceptional)):
+        return 2
+    hits, kept = record.histogram[best], len(exceptional)
+    if hits > kept:
+        sys.stderr.write(f"note: {kept} of {hits} N = {best} hits checked against the "
+                         "exceptional quartic; raise --witness-cap to check all\n")
+    return 0
 
 
 def cmd_lemma_check(args) -> int:

@@ -254,6 +254,8 @@ class PlaneCurve:
             if len(parts) != 4:
                 raise ValueError(f"bad inline term {piece!r}")
             i, j, k, c = (int(x) for x in parts)
+            if (i, j, k) in terms:
+                raise ValueError(f"duplicate term ({i}, {j}, {k})")
             terms[(i, j, k)] = c
         return cls.from_terms(ctx, terms)
 
@@ -456,11 +458,9 @@ def has_linear_component(f: PlaneCurve, points=None):
     pl = plane.get_plane(f.ctx)
     on_f = {pl.point_index[p] for p in (rational_points(f) if points is None else points)}
     for li, line in enumerate(pl.lines):
-        pts = pl.points_on[li]
-        if not all(pi in on_f for pi in pts):
-            continue
-        if f.restrict(pl.points[pts[0]], pl.points[pts[1]]).is_zero():
-            return line
+        if all(pi in on_f for pi in pl.points_on[li]):
+            if f.restrict(*plane.span(f.ctx, line)).is_zero():
+                return line
     return None
 
 
@@ -491,19 +491,13 @@ def frobenius_form(f: PlaneCurve) -> Optional[PlaneCurve]:
     return PlaneCurve(ctx, q + f.degree - 1, acc)
 
 
-def restriction_map(f_ctx, d: int, line, pl=None):
+def restriction_map(f_ctx, d: int, line):
     """Rows mapping degree-d coefficient vectors to line-restriction coeffs.
 
     Returns a list of n_monomials rows, each of length d+1: restricting
-    sum(c_m * monomial_m) to the line gives binary coefficients
-    sum_m c_m * row_m.
+    sum(c_m * monomial_m) to the line, spanned by plane.span, gives binary
+    coefficients sum_m c_m * row_m.
     """
-    if pl is None:
-        pl = plane.get_plane(f_ctx)
-    pts = pl.points_on[pl.line_index[line]]
-    p_pt, q_pt = pl.points[pts[0]], pl.points[pts[1]]
-    rows = []
-    for mono in monomials(d):
-        single = PlaneCurve(f_ctx, d, {mono: 1})
-        rows.append(single.restrict(p_pt, q_pt).coeffs)
-    return rows
+    p_pt, q_pt = plane.span(f_ctx, line)
+    return [PlaneCurve(f_ctx, d, {mono: 1}).restrict(p_pt, q_pt).coeffs
+            for mono in monomials(d)]

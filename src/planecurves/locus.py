@@ -6,7 +6,10 @@ partial derivatives.  decide_singular_locus answers, exactly:
   * is the locus empty over every extension field, and if not,
   * what is the smallest extension degree carrying a singular point?
 
-The decision works by recursive decomposition of the polynomial system
+The system is a list of PlaneCurves, F and its nonzero partials, and it
+stays one: gcds (tri_gcd) and exact quotients (curve.exact_divide) are
+PlaneCurves too, and a restriction to a rational line is spanned by
+plane.span.  The decision works by recursive decomposition of the system
 into (a) one-dimensional branches, where the locus contains a whole curve
 and witnesses come from line restrictions or small-field scans, and
 (b) zero-dimensional branches, where a coprime pair is eliminated down to
@@ -91,7 +94,7 @@ class _QuotRing(_FieldOps):
         return self.reduce(s)
 
 
-# trivariate helpers on sparse term dicts ---------------------------------
+# gcds and coefficient layouts of PlaneCurves -----------------------------
 
 
 def _tri_strip_z(terms):
@@ -197,51 +200,23 @@ def _bi_gcd(ctx, f, g):
     return pp
 
 
-def tri_gcd(ctx, terms_a, terms_b):
-    """Gcd of two homogeneous trivariate polynomials (dict form, monic-ish)."""
-    za, sa = _tri_strip_z(terms_a)
-    zb, sb = _tri_strip_z(terms_b)
+def tri_gcd(a: PlaneCurve, b: PlaneCurve) -> PlaneCurve:
+    """Gcd of two curves over one field, up to a scalar; degree 0 when
+    they are coprime."""
+    ctx = a.ctx
+    za, sa = _tri_strip_z(a.terms)
+    zb, sb = _tri_strip_z(b.terms)
     # Z-stripped, so the form is a polynomial in y over GF(q)[x]
-    ba = _grouped(ctx, sa, 1, 0)
-    bb = _grouped(ctx, sb, 1, 0)
-    g = _bi_gcd(ctx, ba, bb)
+    g = _bi_gcd(ctx, _grouped(ctx, sa, 1, 0), _grouped(ctx, sb, 1, 0))
     terms = _bivariate_to_tri(ctx, g)
     zshift = min(za, zb)
     if zshift:
         terms = {(i, j, k + zshift): c for (i, j, k), c in terms.items()}
-    return terms
-
-
-def _tri_degree(terms):
-    for (i, j, k) in terms:
-        return i + j + k
-    return -1
-
-
-def _is_constant(terms):
-    return _tri_degree(terms) == 0
+    # homogeneous, so any one term gives the degree
+    return PlaneCurve(ctx, sum(next(iter(terms))), terms)
 
 
 # the decision procedure ----------------------------------------------------
-
-
-def _points_on_line(ctx, line):
-    """Two distinct points spanning a line given by its coefficient triple."""
-    a, b, c = line
-    cands = [
-        (0, c, ctx.neg(b)),
-        (c, 0, ctx.neg(a)),
-        (b, ctx.neg(a), 0),
-    ]
-    pts = []
-    for t in cands:
-        if t != (0, 0, 0):
-            t = plane.normalize(ctx, t)
-            if t not in pts:
-                pts.append(t)
-        if len(pts) == 2:
-            return pts
-    raise RuntimeError("degenerate line coefficients")
 
 
 def _least(*degrees):
@@ -252,11 +227,11 @@ def _least(*degrees):
 
 def _restrict_line_case(ctx, system, line):
     """Least degree of a point of V(system) on one rational line, or None."""
-    p_pt, q_pt = _points_on_line(ctx, line)
+    p_pt, q_pt = plane.span(ctx, line)
     dehoms = []
     infinity_root = True  # does (s:t) = (0:1) satisfy every member?
-    for terms in system:
-        form = PlaneCurve(ctx, _tri_degree(terms), terms).restrict(p_pt, q_pt)
+    for member in system:
+        form = member.restrict(p_pt, q_pt)
         if form.is_zero():
             continue
         if form.coeffs[form.degree] != 0:
@@ -281,20 +256,18 @@ def _interp_field(ctx, npoints: int):
     return ctx.extension(m)
 
 
-def _eliminate_pair(ctx, terms_a, terms_b):
+def _eliminate_pair(ctx, a, b):
     """Nonzero r(y) over ctx whose roots cover the y-coordinates of
     V(A, B) in the chart X = 1, for a coprime pair A, B."""
     # S(1, y, z) as a list over z-degree of y-unipolys
-    za_polys = _grouped(ctx, terms_a, 2, 1)
-    zb_polys = _grouped(ctx, terms_b, 2, 1)
+    za_polys = _grouped(ctx, a.terms, 2, 1)
+    zb_polys = _grouped(ctx, b.terms, 2, 1)
     za, zb = len(za_polys) - 1, len(zb_polys) - 1
     if za == 0:
         return list(za_polys[0])
     if zb == 0:
         return list(zb_polys[0])
-    da = _tri_degree(terms_a)
-    db = _tri_degree(terms_b)
-    nsamples = za * db + zb * da + 1
+    nsamples = za * b.degree + zb * a.degree + 1
     lead_a, lead_b = za_polys[za], zb_polys[zb]
     bad_bound = unipoly.deg(lead_a) + unipoly.deg(lead_b)
     field = _interp_field(ctx, nsamples + bad_bound + 1)
@@ -321,15 +294,15 @@ def _eliminate_pair(ctx, terms_a, terms_b):
     return unipoly.trim(r)
 
 
-def _chart_candidates(ctx, system, terms_a, terms_b):
+def _chart_candidates(ctx, system, a, b):
     """Least degree of a point of V(system) in the chart X = 1, or None."""
-    r = _eliminate_pair(ctx, terms_a, terms_b)
+    r = _eliminate_pair(ctx, a, b)
     if not r:
         raise RuntimeError("coprime pair eliminated to the zero polynomial")
     if unipoly.deg(r) == 0:
         return None
     pieces = unipoly.distinct_degree_pieces(ctx, r)
-    chart_all = [_grouped(ctx, terms, 2, 1) for terms in system]
+    chart_all = [_grouped(ctx, member.terms, 2, 1) for member in system]
     best = None
     for e in sorted(pieces):
         if best is not None and best <= e:
@@ -363,10 +336,9 @@ def _ring_candidates(ctx, chart_all, u, e):
     return e * unipoly.least_root_degree(ring, g, ctx.q ** e)
 
 
-def _curve_min_degree(ctx, terms, enum_cap):
+def _curve_min_degree(ctx, cur, enum_cap):
     """(least degree, exact) for a one-dimensional branch: every point of
-    the curve V(terms) is in the locus."""
-    cur = PlaneCurve(ctx, _tri_degree(terms), terms)
+    the curve V(cur) is in the locus."""
     for point in plane.enumerate_points(ctx):
         if cur.evaluate(point) == 0:
             return 1, True
@@ -380,7 +352,7 @@ def _curve_min_degree(ctx, terms, enum_cap):
         m += 1
     # capped: exhibit a point class on a coordinate-line slice, a witness
     # degree that is possibly not the minimum
-    best = _least(*(_restrict_line_case(ctx, [terms], line)
+    best = _least(*(_restrict_line_case(ctx, [cur], line)
                     for line in ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
     if best is None:
         raise RuntimeError("a positive-degree curve must meet a coordinate line")
@@ -389,27 +361,22 @@ def _curve_min_degree(ctx, terms, enum_cap):
 
 def _decompose(ctx, system, enum_cap):
     """(least degree of a point of V(system) or None, whether it is exact)."""
-    system = [t for t in system if t]
-    if any(_is_constant(t) for t in system):
+    if any(f.degree == 0 for f in system):
         return None, True
-    if not system:
-        raise RuntimeError("empty system does not arise for plane curves")
     if len(system) == 1:
         return _curve_min_degree(ctx, system[0], enum_cap)
-    linear = next((t for t in system if _tri_degree(t) == 1), None)
+    linear = next((f for f in system if f.degree == 1), None)
     if linear is not None:
-        line = _linear_to_triple(ctx, linear)
-        rest = [t for t in system if t is not linear]
+        line = _linear_to_triple(ctx, linear.terms)
+        rest = [f for f in system if f is not linear]
         return _restrict_line_case(ctx, rest, line), True
-    ordered = sorted(system, key=_tri_degree)
-    a, b = ordered[0], ordered[1]
-    rest = [t for t in system if t is not a and t is not b]
-    d = tri_gcd(ctx, a, b)
-    if _tri_degree(d) >= 1:
+    a, b = sorted(system, key=lambda f: f.degree)[:2]
+    rest = [f for f in system if f is not a and f is not b]
+    d = tri_gcd(a, b)
+    if d.degree >= 1:
         first, first_exact = _decompose(ctx, [d] + rest, enum_cap)
-        da = _tri_exact_divide(ctx, a, d)
-        db = _tri_exact_divide(ctx, b, d)
-        second, second_exact = _decompose(ctx, [da, db] + rest, enum_cap)
+        second, second_exact = _decompose(
+            ctx, [exact_divide(a, d), exact_divide(b, d)] + rest, enum_cap)
         return _least(first, second), first_exact and second_exact
     # coprime pair: finitely many common zeros
     return _least(_restrict_line_case(ctx, system, (1, 0, 0)),
@@ -423,17 +390,11 @@ def _linear_to_triple(ctx, terms):
     return plane.normalize(ctx, (a, b, c))
 
 
-def _tri_exact_divide(ctx, terms_num, terms_den):
-    num = PlaneCurve(ctx, _tri_degree(terms_num), terms_num)
-    den = PlaneCurve(ctx, _tri_degree(terms_den), terms_den)
-    return exact_divide(num, den).terms
-
-
 def decide_singular_locus(curve: PlaneCurve, enum_cap: int = 10 ** 6, rational=None) -> LocusResult:
     """Exact emptiness / minimal-degree decision for the singular locus;
     ``rational`` is singular_rational_points(curve), when already known."""
     ctx = curve.ctx
-    system = [curve.terms] + [p.terms for p in curve.partials() if p is not None]
+    system = [curve] + [p for p in curve.partials() if p is not None]
     # cheap first: rational singular points double as degree-1 witnesses
     rational = singular_rational_points(curve) if rational is None else rational
     if rational:

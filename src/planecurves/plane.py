@@ -91,31 +91,39 @@ def is_arc(ctx, points) -> tuple[bool, tuple[Triple, Triple, Triple] | None]:
     return True, None
 
 
+def span(ctx, line: Triple) -> tuple[Triple, Triple]:
+    """Two distinct normalized points of the line (a, b, c): the first two
+    distinct classes among (0, c, -b), (c, 0, -a) and (b, -a, 0)."""
+    a, b, c = line
+    pts: list[Triple] = []
+    for t in ((0, c, ctx.neg(b)), (c, 0, ctx.neg(a)), (b, ctx.neg(a), 0)):
+        if t != (0, 0, 0):
+            t = normalize(ctx, t)
+            if t not in pts:
+                pts.append(t)
+        if len(pts) == 2:
+            return pts[0], pts[1]
+    raise ValueError("the zero triple is not a projective line")
+
+
 class ProjectivePlane:
-    """Cached incidence structure of P^2(F_q); all members are immutable."""
+    """Cached incidence structure of P^2(F_q); all members are immutable.
+    P^2 is self-dual, so lines, line_index and lines_on are the very
+    objects points, point_index and points_on."""
 
     def __init__(self, ctx):
         self.ctx = ctx
-        self.points = tuple(enumerate_points(ctx))
-        self.lines = tuple(enumerate_lines(ctx))
-        self.point_index = {p: i for i, p in enumerate(self.points)}
-        self.line_index = {l: i for i, l in enumerate(self.lines)}
+        self.points = self.lines = tuple(enumerate_points(ctx))
+        self.point_index = self.line_index = {p: i for i, p in enumerate(self.points)}
         points_on: list[list[int]] = [[] for _ in self.lines]
-        lines_on: list[list[int]] = [[] for _ in self.points]
         for li, line in enumerate(self.lines):
             for pi, point in enumerate(self.points):
                 if incident(ctx, point, line):
                     points_on[li].append(pi)
-                    lines_on[pi].append(li)
-        self.points_on = tuple(tuple(v) for v in points_on)
-        self.lines_on = tuple(tuple(v) for v in lines_on)
-
-    def lines_through_point(self, p: Triple) -> list[Triple]:
-        """The pencil of q+1 lines through p."""
-        pi = self.point_index[normalize(self.ctx, p)]
-        return [self.lines[li] for li in self.lines_on[pi]]
+        self.points_on = self.lines_on = tuple(tuple(v) for v in points_on)
 
     def points_on_line(self, l: Triple) -> list[Triple]:
+        """The points of a line l, or by duality the pencil of lines through l."""
         li = self.line_index[normalize(self.ctx, l)]
         return [self.points[pi] for pi in self.points_on[li]]
 
@@ -126,7 +134,8 @@ def get_plane(ctx) -> ProjectivePlane:
 
 
 def lines_through_point(ctx, p: Triple) -> list[Triple]:
-    return get_plane(ctx).lines_through_point(p)
+    """The pencil of q+1 lines through p."""
+    return get_plane(ctx).points_on_line(p)
 
 
 def point_to_string(p: Triple) -> str:

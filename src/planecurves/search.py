@@ -165,7 +165,7 @@ class _Engine:
             for li, pts in enumerate(pl.points_on):
                 self.incidence[list(pts), li] = 1
             if degree > ctx.q:
-                rest = [restriction_map(ctx, degree, line, pl) for line in pl.lines]
+                rest = [restriction_map(ctx, degree, line) for line in pl.lines]
                 self.rest_map = _lift(mul, np.concatenate(rest, axis=1))
 
     def _vanishing(self, coeffs: np.ndarray, lifted: np.ndarray) -> np.ndarray:

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from planecurves import analysis, cli, plane
+from planecurves import analysis, cli, locus, plane
 from planecurves.analysis import INFINITE
 from planecurves.bounds import bound_verdicts
 from planecurves.catalog import catalog_curve, exceptional_quartic
-from planecurves.curve import PlaneCurve, curve_mul
+from planecurves.curve import PlaneCurve, curve_mul, restriction_map
+from planecurves.field import FiniteField
 from planecurves.locus import singular_points_over_extension
 from planecurves.search import random_singular_instances
 
@@ -318,3 +319,58 @@ def test_handed_over_points_give_the_same_results():
         assert given == analysis.is_geometrically_nonsingular(cur, m)
         singular += bool(counts.rational_singular)
     assert singular >= 6
+
+
+def test_line_restrictions_build_no_plane(monkeypatch):
+    """Restrictions span their lines with plane.span: none of these builds
+    or reads the projective plane."""
+    def refuse(*args):
+        raise AssertionError("the projective plane was used")
+
+    monkeypatch.setattr(plane, "ProjectivePlane", refuse)
+    monkeypatch.setattr(plane, "get_plane", refuse)
+    ctx = field_for(7)
+    cur = curve_mul(_line_form(ctx, (1, 2, 3)), random_curve(ctx, 2, random.Random(5)))
+    assert analysis.intersection_multiplicity(cur, (1, 2, 3), (1, 0, 2)) is INFINITE
+    assert len(restriction_map(ctx, 3, (1, 2, 3))) == 10
+    assert analysis.line_spectrum_by_restriction(cur)[8] >= 1
+    assert not locus.decide_singular_locus(cur).empty
+
+
+def _line_form(ctx, coeffs):
+    """The degree-1 curve aX + bY + cZ of a line's coefficient triple."""
+    return PlaneCurve(ctx, 1, dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), coeffs)))
+
+
+def _line_through_point(ctx, point, rng):
+    while True:
+        other = tuple(rng.randrange(ctx.q) for _ in range(3))
+        if other != (0, 0, 0) and plane.normalize(ctx, other) != point:
+            return plane.line_through(ctx, point, other)
+
+
+@pytest.mark.parametrize("ctx", [FiniteField(257), FiniteField(2, 9)],
+                         ids=["GF(257)", "GF(512)"])
+def test_multiplicity_matches_another_second_point_over_large_fields(ctx):
+    """intersection_multiplicity against the order read off a restriction
+    through a second point of the line that plane.span does not give."""
+    rng = random.Random(ctx.q)
+    for k in range(4):
+        point = plane.normalize(ctx, tuple(rng.randrange(1, ctx.q) for _ in range(3)))
+        line = _line_through_point(ctx, point, rng)
+        cur = random_curve(ctx, 2, rng)
+        for _ in range(k):  # each line through the point raises the order by one
+            cur = curve_mul(cur, _line_form(ctx, _line_through_point(ctx, point, rng)))
+        if k == 3:  # the line itself is a component
+            cur = curve_mul(cur, _line_form(ctx, line))
+        spanned = plane.span(ctx, line)
+        other = next(p for p in spanned if p != point)
+        third = plane.normalize(ctx, tuple(ctx.add(a, ctx.mul(5, b))
+                                           for a, b in zip(other, point)))
+        assert third not in spanned and third != point
+        order = cur.restrict(point, third).vanishing_order_at_origin()
+        mult = analysis.intersection_multiplicity(cur, line, point)
+        assert mult == (INFINITE if order is None else order)
+        assert (mult is INFINITE) == (k == 3)
+        if k < 3:
+            assert mult >= k

@@ -87,6 +87,18 @@ def test_verdicts_on_exceptional_quartic(gf4):
     assert rep.flags["frobenius_nonclassical"] is False
 
 
+def test_exceptional_quartic_is_recognised_up_to_equivalence(gf4):
+    quartic = exceptional_quartic(gf4)
+    moved = quartic.transform(((1, 1, 0), (0, 1, 0), (0, 0, 1)))
+    assert bounds.is_exceptional_quartic(moved, 14)
+    assert not bounds.is_exceptional_quartic(moved, 13)  # not its point count
+    # XYZ(X + Y + Z): four lines, no three concurrent, 4 * 5 - 6 = 14 points
+    lines = PlaneCurve(gf4, 4, {(2, 1, 1): 1, (1, 2, 1): 1, (1, 1, 2): 1})
+    assert len(analysis.rational_points(lines)) == 14
+    assert not bounds.is_exceptional_quartic(lines, 14)
+    assert not bounds.is_exceptional_quartic(catalog_curve("deg_q", field_for(5)), 21)
+
+
 def test_verdicts_on_deg_q_equality():
     F5 = field_for(5)
     rep = bounds.bound_verdicts(catalog_curve("deg_q", F5))

@@ -6,6 +6,7 @@ import pytest
 from planecurves import cli
 from planecurves.cli import main
 from planecurves.catalog import CATALOG, catalog_curve, exceptional_quartic
+from planecurves.curve import PlaneCurve
 
 from conftest import field_for
 
@@ -207,6 +208,21 @@ def test_malformed_catalog_parameter_refused(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("field-info", "--field", "p=2,k=2,p=3"), "bad field spec token 'p=3'"),
+    (("field-info", "--field", "p=2,k=2,k=3"), "bad field spec token 'k=3'"),
+    (("field-info", "--field", "p=2,k=2,mod=1,1,1,mod=1,1,1"),
+     "bad field spec token 'mod=1,1,1'"),
+    (("count", "--field", "p=2,k=2", "--inline", "0 0 2 1; 0 0 2 3; 2 0 0 1",
+      "--no-timestamp"), "duplicate term (0, 0, 2)"),
+], ids=["field-repeated-p", "field-repeated-k", "field-repeated-mod", "inline-duplicate-term"])
+def test_repeated_input_refused(capsys, argv, message):
+    """A repeated --field key or --inline term is refused, never resolved
+    by letting one of the copies win."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_verify_catalog_names_a_bad_q(capsys):
     code, out, err = run_cli(capsys, "verify-catalog", "--q", "2,x")
     assert (code, out, err) == (1, "", "error: --q needs comma-separated integers, got 'x'\n")
@@ -349,3 +365,26 @@ def test_search_notes_unchecked_exceptional_hits(capsys, monkeypatch):
     assert code == 0
     assert out == json.dumps(record.to_json_dict(), sort_keys=True) + "\n"
     assert err.count("\n") == 1 and "1 of 3" in err and "--witness-cap" in err
+
+
+def test_search_flags_a_kept_witness_that_is_not_the_exceptional_quartic(capsys, monkeypatch):
+    """N = 14 over GF(4) is forgiven only when every kept witness is the
+    exceptional quartic; the threshold is bound_values' sziklai value."""
+    from planecurves import search
+
+    gf4 = field_for(4)
+    quartic = exceptional_quartic(gf4)
+    # XYZ(X + Y + Z) also has 14 points, on four lines
+    other = PlaneCurve(gf4, 4, {(2, 1, 1): 1, (1, 2, 1): 1, (1, 1, 2): 1})
+    for witnesses, expected in (([quartic], 0), ([quartic, other], 2), ([], 2)):
+        record = search.SearchRecord(
+            q=4, degree=4, mode="random", seed=1, generator="stub", engine="stub",
+            curves_examined=3, histogram={14: len(witnesses)}, best_N=14,
+            witnesses=witnesses, witness_cap=2,
+        )
+        monkeypatch.setattr(search, "run_search", lambda task, workers=1: record)
+        code, _, err = run_cli(
+            capsys, "search", "--field", "p=2,k=2", "--degree", "4", "--mode", "random",
+            "--seed", "1", "--samples", "3", "--require-no-linear-component", "--no-timestamp",
+        )
+        assert (code, err) == (expected, ""), witnesses

@@ -278,17 +278,15 @@ def test_restriction_map_linearity():
     rng = random.Random(2)
     ctx = field_for(3)
     d = 3
-    pl = plane.get_plane(ctx)
-    line = pl.lines[7]
-    rows = restriction_map(ctx, d, line, pl)
+    line = plane.enumerate_lines(ctx)[7]
+    rows = restriction_map(ctx, d, line)
     cur = random_curve(ctx, d, rng)
     vec = [cur.terms.get(m, 0) for m in monomials(d)]
     combined = [0] * (d + 1)
     for c, row in zip(vec, rows):
         for idx, rc in enumerate(row):
             combined[idx] = ctx.add(combined[idx], ctx.mul(c, rc))
-    pts = pl.points_on[pl.line_index[line]]
-    direct = cur.restrict(pl.points[pts[0]], pl.points[pts[1]])
+    direct = cur.restrict(*plane.span(ctx, line))
     assert tuple(combined) == direct.coeffs
 
 
@@ -310,6 +308,13 @@ def test_parse_inline(gf4):
     assert cur.terms == {(2, 0, 0): 1, (0, 1, 1): 3}
     with pytest.raises(ValueError):
         PlaneCurve.parse_inline(gf4, "2 0 0")
+
+
+@pytest.mark.parametrize("text", ["0 0 2 1; 0 0 2 3; 2 0 0 1", "1 0 0 1;1 0 0 1"])
+def test_parse_inline_refuses_a_duplicate_term(gf4, text):
+    """As a curve file does: the later term must not silently win."""
+    with pytest.raises(ValueError, match=r"duplicate term \((0, 0, 2|1, 0, 0)\)"):
+        PlaneCurve.parse_inline(gf4, text)
 
 
 def test_canonical_scaling():

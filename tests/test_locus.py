@@ -123,18 +123,14 @@ def test_tri_gcd_of_shared_factor():
     g2 = PlaneCurve(F2, 1, {(0, 1, 0): 1})
     a = curve_mul(f, g1)
     b = curve_mul(f, g2)
-    gcd_terms = tri_gcd(F2, a.terms, b.terms)
-    assert PlaneCurve.from_terms(F2, gcd_terms).scalar_equal(f)
+    assert tri_gcd(a, b).scalar_equal(f)
 
 
 def test_tri_gcd_z_power_handling():
     F3 = field_for(3)
     a = PlaneCurve(F3, 3, {(0, 0, 3): 2})                  # 2 Z^3
     b = PlaneCurve(F3, 2, {(0, 1, 1): 1, (2, 0, 0): 1})    # Z Y + X^2
-    gcd_terms = tri_gcd(F3, a.terms, b.terms)
-    assert gcd_terms == {(0, 0, 0): 1}
+    gcd = tri_gcd(a, b)
+    assert (gcd.degree, gcd.terms) == (0, {(0, 0, 0): 1})
     c = curve_mul(PlaneCurve(F3, 1, {(0, 0, 1): 1}), b)
-    gcd_terms = tri_gcd(F3, a.terms, c.terms)
-    assert PlaneCurve.from_terms(F3, gcd_terms).scalar_equal(
-        PlaneCurve(F3, 1, {(0, 0, 1): 1})
-    )
+    assert tri_gcd(a, c).scalar_equal(PlaneCurve(F3, 1, {(0, 0, 1): 1}))

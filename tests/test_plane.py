@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 from planecurves import plane
+from planecurves.field import FiniteField
 from planecurves.catalog import exceptional_quartic
 from planecurves.analysis import rational_points
 
@@ -77,9 +79,8 @@ def test_pencil_through_point():
 
 def test_join_meet_round_trip():
     ctx = field_for(4)
-    pl = plane.get_plane(ctx)
     p_pt = (1, 2, 3)
-    through = pl.lines_through_point(p_pt)
+    through = plane.lines_through_point(ctx, p_pt)
     for l, m in itertools.combinations(through[:4], 2):
         assert plane.meet(ctx, l, m) == p_pt
 
@@ -129,3 +130,58 @@ def test_point_string_round_trip():
     ctx = field_for(4)
     for p in plane.enumerate_points(ctx)[:10]:
         assert plane.point_from_string(ctx, plane.point_to_string(p)) == p
+
+
+SELF_DUAL_QS = [2, 3, 4, 5, 7, 8, 9, 16, 25]
+
+
+def _on_line(ctx, point, line):
+    """The dot product, summed here rather than through plane.incident."""
+    x, y, z = (ctx.mul(a, b) for a, b in zip(point, line))
+    return ctx.add(ctx.add(x, y), z) == 0
+
+
+@pytest.mark.parametrize("q", SELF_DUAL_QS)
+def test_plane_is_stored_once_by_self_duality(q):
+    """Lines are the points, one index serves both, and one incidence
+    tuple serves both; each line's points are its brute-force incidences."""
+    ctx = field_for(q)
+    pl = plane.get_plane(ctx)
+    assert pl.lines is pl.points and pl.line_index is pl.point_index
+    assert pl.lines_on is pl.points_on
+    for line in pl.lines:
+        brute = [p for p in pl.points if _on_line(ctx, p, line)]
+        assert pl.points_on_line(line) == brute
+
+
+def _check_span(ctx, line):
+    first, second = plane.span(ctx, line)
+    assert first != second
+    for point in (first, second):
+        assert plane.normalize(ctx, point) == point
+        assert _on_line(ctx, point, line)
+
+
+@pytest.mark.parametrize("q", SELF_DUAL_QS)
+def test_span_gives_two_points_of_every_line(q):
+    ctx = field_for(q)
+    for line in plane.enumerate_lines(ctx):
+        _check_span(ctx, line)
+        # any nonzero multiple of the coefficients names the same line
+        _check_span(ctx, tuple(ctx.mul(q - 1, c) for c in line))
+    with pytest.raises(ValueError, match="zero triple"):
+        plane.span(ctx, (0, 0, 0))
+
+
+@pytest.mark.parametrize("ctx", [FiniteField(257), FiniteField(2, 9),
+                                 FiniteField(3, 1).extension(3)],
+                         ids=["GF(257)", "GF(512)", "GF(3^3)-tower"])
+def test_span_on_sampled_lines_of_large_and_tower_fields(ctx):
+    rng = random.Random(ctx.q)
+    lines = [(0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
+    lines += [tuple(rng.randrange(ctx.q) for _ in range(3)) for _ in range(60)]
+    for line in lines:
+        if line != (0, 0, 0):
+            _check_span(ctx, line)
+    with pytest.raises(ValueError, match="zero triple"):
+        plane.span(ctx, (0, 0, 0))
