@@ -15,8 +15,10 @@ import json
 import sys
 from datetime import datetime, timezone
 
-from . import analysis, bounds, catalog, plane
-from .curve import PlaneCurve
+# other modules load on use, through the package's lazy attributes (pc.analysis, ...)
+import planecurves as pc
+
+from . import plane
 from .field import FiniteField
 
 
@@ -61,13 +63,13 @@ def _parse_catalog_flag(text: str):
         name, params_text.split(",") if params_text else [])
 
 
-def _load_curve(args) -> PlaneCurve:
+def _load_curve(args) -> "pc.PlaneCurve":
     sources = [s for s in ("curve", "inline", "catalog") if getattr(args, s, None)]
     if len(sources) != 1:
         raise ValueError("exactly one of --curve, --inline, --catalog is required")
     source = sources[0]
     if source == "curve":
-        cur = PlaneCurve.from_file(args.curve)
+        cur = pc.PlaneCurve.from_file(args.curve)
         if args.field and _parse_field_flag(args.field) != cur.ctx:
             raise ValueError("--field disagrees with the curve file header")
         return cur
@@ -75,9 +77,9 @@ def _load_curve(args) -> PlaneCurve:
         raise ValueError(f"--{source} needs --field")
     ctx = _parse_field_flag(args.field)
     if source == "inline":
-        return PlaneCurve.parse_inline(ctx, args.inline)
+        return pc.PlaneCurve.parse_inline(ctx, args.inline)
     name, params = _parse_catalog_flag(args.catalog)
-    return catalog.catalog_curve(name, ctx, **params)
+    return pc.catalog.catalog_curve(name, ctx, **params)
 
 
 def _emit(args, payload: dict, csv_rows=None) -> None:
@@ -219,14 +221,14 @@ def cmd_field_info(args) -> int:
 
 def cmd_count(args) -> int:
     cur = _load_curve(args)
-    rep = analysis.count_points(cur)
+    rep = pc.analysis.count_points(cur)
     _emit(args, rep.to_json_dict())
     return 0
 
 
 def cmd_spectrum(args) -> int:
     cur = _load_curve(args)
-    spec = analysis.line_spectrum(cur)
+    spec = pc.analysis.line_spectrum(cur)
     rows = [("i", "a_i")] + [(i, c) for i, c in sorted(spec.a.items())]
     _emit(args, spec.to_json_dict(), csv_rows=rows)
     return 0
@@ -234,13 +236,13 @@ def cmd_spectrum(args) -> int:
 
 def cmd_singular(args) -> int:
     cur = _load_curve(args)
-    budget = analysis.certificate_budget(cur.degree) if args.m_budget is None else args.m_budget
-    verdict = analysis.is_geometrically_nonsingular(cur, budget)
+    budget = pc.analysis.certificate_budget(cur.degree) if args.m_budget is None else args.m_budget
+    verdict = pc.analysis.is_geometrically_nonsingular(cur, budget)
     payload = {
         "q": cur.ctx.q,
         "d": cur.degree,
         "singular_rational": [
-            plane.point_to_string(p) for p in analysis.singular_rational_points(cur)
+            plane.point_to_string(p) for p in pc.analysis.singular_rational_points(cur)
         ],
         "geometric": verdict.to_json_dict(),
     }
@@ -250,7 +252,7 @@ def cmd_singular(args) -> int:
 
 def cmd_bounds(args) -> int:
     cur = _load_curve(args)
-    rep = bounds.bound_verdicts(cur, m_budget=args.m_budget)
+    rep = pc.bounds.bound_verdicts(cur, m_budget=args.m_budget)
     _emit(args, rep.to_json_dict())
     violated = any(
         v["applicable"] and not v["holds"] for v in rep.verdicts.values()
@@ -263,7 +265,7 @@ def cmd_frobenius(args) -> int:
     _emit(args, {
         "q": cur.ctx.q,
         "d": cur.degree,
-        "frobenius_nonclassical": analysis.is_frobenius_nonclassical(cur),
+        "frobenius_nonclassical": pc.analysis.is_frobenius_nonclassical(cur),
     })
     return 0
 
@@ -278,9 +280,9 @@ def cmd_equiv(args) -> int:
     )
     other = _load_curve(other_args)
     if args.method == "frames":
-        witness = bounds.equivalent_by_point_frames(cur, other)
+        witness = pc.bounds.equivalent_by_point_frames(cur, other)
     else:
-        witness = bounds.projective_equivalent(cur, other, budget=args.budget)
+        witness = pc.bounds.projective_equivalent(cur, other, budget=args.budget)
     _emit(args, {
         "equivalent": witness is not None,
         "witness": [list(row) for row in witness] if witness else None,
@@ -297,14 +299,14 @@ def cmd_catalog(args) -> int:
                 "degree": entry.degree,
                 "params": list(entry.params),
             }
-            for name, entry in catalog.CATALOG.items()
+            for name, entry in pc.catalog.CATALOG.items()
         }
         _emit(args, {"entries": entries})
         return 0
     if not args.field:
         raise ValueError("--emit needs --field")
     ctx = _parse_field_flag(args.field)
-    cur = catalog.catalog_curve(args.emit, ctx, **_parse_catalog_params(args.emit, args.param))
+    cur = pc.catalog.catalog_curve(args.emit, ctx, **_parse_catalog_params(args.emit, args.param))
     sys.stdout.write(cur.to_text())
     return 0
 
@@ -318,8 +320,8 @@ def cmd_verify_catalog(args) -> int:
             raise ValueError(f"--q needs comma-separated integers, got {piece!r}") from None
     if not q_list:
         raise ValueError(f"--q needs at least one integer, got {args.q!r}")
-    rows = catalog.verify_catalog(list(dict.fromkeys(q_list)),
-                                  check_nonsingular=not args.skip_nonsingular)
+    rows = pc.catalog.verify_catalog(list(dict.fromkeys(q_list)),
+                                     check_nonsingular=not args.skip_nonsingular)
     failures = [
         r for r in rows
         if r.get("count_ok") is False
@@ -331,14 +333,12 @@ def cmd_verify_catalog(args) -> int:
 
 
 def cmd_search(args) -> int:
-    from . import search  # imports numpy, which no other command needs
-
     ctx = _parse_field_flag(args.field)
     mode = args.mode.replace("-", "_")
     singular_at = None
     if args.singular_at:
         singular_at = plane.point_from_string(ctx, args.singular_at)
-    task = search.SearchTask(
+    task = pc.search.SearchTask(
         ctx=ctx,
         degree=args.degree,
         mode=mode,
@@ -349,16 +349,16 @@ def cmd_search(args) -> int:
         budget=args.budget,
         witness_cap=args.witness_cap,
     )
-    record = search.run_search(task, workers=args.workers)
+    record = pc.search.run_search(task, workers=args.workers)
     rows = [("N", "count")] + [(k, v) for k, v in sorted(record.histogram.items())]
     _emit(args, record.to_json_dict(), csv_rows=rows)
     best = record.best_N
     # a constant (degree 0) is no curve, so no bound applies to it
     if (args.degree < 1 or not args.require_no_linear_component or best is None
-            or best <= bounds.bound_values(ctx.q, args.degree).values["sziklai"]):
+            or best <= pc.bounds.bound_values(ctx.q, args.degree).values["sziklai"]):
         return 0
     # above the bound is an anomaly unless every kept witness is the exceptional quartic
-    exceptional = [bounds.is_exceptional_quartic(w, best) for w in record.witnesses]
+    exceptional = [pc.bounds.is_exceptional_quartic(w, best) for w in record.witnesses]
     if not (exceptional and all(exceptional)):
         return 2
     hits, kept = record.histogram[best], len(exceptional)
@@ -372,8 +372,8 @@ def cmd_lemma_check(args) -> int:
     cur = _load_curve(args)
     q = cur.ctx.q
     d = cur.degree
-    counts = analysis.count_points(cur)
-    spec = analysis.line_spectrum(cur, counts.points)
+    counts = pc.analysis.count_points(cur)
+    spec = pc.analysis.line_spectrum(cur, counts.points)
     n = spec.N
     no_lin = counts.linear_component is None
     no_sing = not counts.rational_singular

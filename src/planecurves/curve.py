@@ -50,7 +50,9 @@ class PlaneCurve:
         clean: dict[Exponents, int] = {}
         for exps, coeff in terms.items():
             i, j, k = exps
-            if i < 0 or j < 0 or k < 0 or i + j + k != degree:
+            if min(i, j, k) < 0:
+                raise ValueError(f"negative exponent in term X^{i} Y^{j} Z^{k}")
+            if i + j + k != degree:
                 raise ValueError(
                     f"inhomogeneous term X^{i} Y^{j} Z^{k}: exponents sum to "
                     f"{i + j + k}, expected {degree}"
@@ -68,12 +70,9 @@ class PlaneCurve:
 
     @classmethod
     def from_terms(cls, ctx, terms: dict) -> "PlaneCurve":
-        degree = None
-        for (i, j, k) in terms:
-            degree = i + j + k
-            break
-        if degree is None:
+        if not terms:
             raise ValueError("a curve needs at least one nonzero term")
+        degree = sum(next(iter(terms)))
         if degree < 1:
             raise ValueError("curve degree must be >= 1")
         return cls(ctx, degree, terms)
@@ -216,23 +215,13 @@ class PlaneCurve:
                 if degree < 1:
                     raise ValueError(f"line {ln}: curve degree must be >= 1")
                 continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ValueError(
-                    f"line {ln}: expected '<i> <j> <k> <coeff>', got {line!r}"
-                )
             try:
-                i, j, k, c = (int(x) for x in parts)
+                i, j, k = _add_term(terms, line)
             except ValueError as exc:
-                raise ValueError(f"line {ln}: non-integer field in {line!r}") from exc
+                raise ValueError(f"line {ln}: {exc}") from None
             if i + j + k != degree:
-                raise ValueError(
-                    f"line {ln}: exponents {i} {j} {k} sum to {i + j + k}, "
-                    f"declared degree is {degree}"
-                )
-            if (i, j, k) in terms:
-                raise ValueError(f"line {ln}: duplicate term ({i}, {j}, {k})")
-            terms[(i, j, k)] = c
+                raise ValueError(f"line {ln}: exponents {i} {j} {k} sum to {i + j + k}, "
+                                 f"declared degree is {degree}")
         if ctx is None or degree is None:
             raise ValueError("curve file needs a field line and a degree line")
         return cls(ctx, degree, terms)
@@ -246,18 +235,27 @@ class PlaneCurve:
     def parse_inline(cls, ctx, text: str) -> "PlaneCurve":
         """Parse "<i> <j> <k> <coeff>;<i> <j> <k> <coeff>;..." over ctx."""
         terms: dict[Exponents, int] = {}
-        for piece in text.split(";"):
-            piece = piece.strip()
-            if not piece:
-                continue
-            parts = piece.split()
-            if len(parts) != 4:
-                raise ValueError(f"bad inline term {piece!r}")
-            i, j, k, c = (int(x) for x in parts)
-            if (i, j, k) in terms:
-                raise ValueError(f"duplicate term ({i}, {j}, {k})")
-            terms[(i, j, k)] = c
+        for piece in filter(str.strip, text.split(";")):
+            _add_term(terms, piece.strip())
         return cls.from_terms(ctx, terms)
+
+
+def _add_term(terms: dict, text: str) -> Exponents:
+    """Parse one "<i> <j> <k> <coeff>" term into terms, refusing a
+    malformed, non-integer, negative or repeated one; returns (i, j, k)."""
+    parts = text.split()
+    if len(parts) != 4:
+        raise ValueError(f"expected '<i> <j> <k> <coeff>', got {text!r}")
+    try:
+        i, j, k, c = (int(x) for x in parts)
+    except ValueError:
+        raise ValueError(f"non-integer field in {text!r}") from None
+    if min(i, j, k) < 0:
+        raise ValueError(f"negative exponent in {text!r}")
+    if (i, j, k) in terms:
+        raise ValueError(f"duplicate term ({i}, {j}, {k})")
+    terms[(i, j, k)] = c
+    return i, j, k
 
 
 class BinaryForm:

@@ -34,6 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import islice
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -239,6 +240,34 @@ def count_exact(ctx, degree: int, rows) -> list[int]:
     return counts
 
 
+def _certify_exhaustive(task: SearchTask, record: SearchRecord) -> None:
+    """Check an exhaustive record against closed forms; RuntimeError on a
+    mismatch.  With P = q^2+q+1 points and [m] = (q^m - 1)/(q - 1) forms
+    in m coefficients: any t <= d+1 distinct points impose independent
+    conditions on degree-d forms, so sum_N C(N, t) hist[N] = C(P, t) [n - t]
+    (the weight moments of the projective Reed-Muller code).  Distinct lines
+    are coprime, so by inclusion-exclusion over s lines the filter discards
+    sum_{s=1..d} (-1)^(s+1) C(P, s) [n(d - s)] forms, n(e) = (e+1)(e+2)/2."""
+    q, d = task.ctx.q, task.degree
+    points = q * q + q + 1
+
+    def forms(m: int) -> int:
+        return (q ** m - 1) // (q - 1)
+
+    if task.require_no_linear_component:
+        checks = [("discarded_linear", record.discarded_linear,
+                   sum((-1) ** (s + 1) * comb(points, s) * forms((d - s + 1) * (d - s + 2) // 2)
+                       for s in range(1, d + 1)))]
+    else:
+        checks = [(f"sum C(N, {t}) hist[N]",
+                   sum(comb(n, t) * times for n, times in record.histogram.items()),
+                   comb(points, t) * forms(task.n_monomials() - t)) for t in range(1, d + 2)]
+    for name, seen, expected in checks:
+        if seen != expected:
+            raise RuntimeError(f"exhaustive certificate failed: {name} is {seen}, "
+                               f"the closed form gives {expected}")
+
+
 def _exhaustive_blocks(q: int, n_monos: int):
     """Canonical coefficient vectors in lexicographic blocks of at most
     _CHUNK rows.  The vectors of a block share the leading-one position
@@ -381,6 +410,8 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchRecord:
         elif best == record.best_N and len(best_rows) < task.witness_cap:
             best_rows.extend(rows[: task.witness_cap - len(best_rows)])
 
+    if task.mode == "exhaustive":
+        _certify_exhaustive(task, record)
     verified = count_exact(ctx, task.degree, best_rows)
     if verified != [record.best_N] * len(best_rows):
         raise RuntimeError(

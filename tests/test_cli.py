@@ -223,6 +223,17 @@ def test_repeated_input_refused(capsys, argv, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("inline,message", [
+    ("0 0 x 1", "non-integer field in '0 0 x 1'"),
+    ("-1 2 0 1", "negative exponent in '-1 2 0 1'"),
+    ("0 0 1", "expected '<i> <j> <k> <coeff>', got '0 0 1'"),
+], ids=["inline-non-integer", "inline-negative-exponent", "inline-three-fields"])
+def test_malformed_inline_term_refused(capsys, inline, message):
+    code, out, err = run_cli(capsys, "count", "--field", "p=3,k=1", "--inline", inline,
+                             "--no-timestamp")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_verify_catalog_names_a_bad_q(capsys):
     code, out, err = run_cli(capsys, "verify-catalog", "--q", "2,x")
     assert (code, out, err) == (1, "", "error: --q needs comma-separated integers, got 'x'\n")

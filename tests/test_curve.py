@@ -310,6 +310,29 @@ def test_parse_inline(gf4):
         PlaneCurve.parse_inline(gf4, "2 0 0")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("0 0 x 1", "non-integer field in '0 0 x 1'"),
+    ("2 0 0 1; -1 2 0 1", "negative exponent in '-1 2 0 1'"),
+    ("2 0 0", "expected '<i> <j> <k> <coeff>', got '2 0 0'"),
+])
+def test_parse_inline_names_the_bad_term(gf4, text, message):
+    with pytest.raises(ValueError) as info:
+        PlaneCurve.parse_inline(gf4, text)
+    assert str(info.value) == message
+
+
+def test_curve_file_refuses_a_negative_exponent():
+    with pytest.raises(ValueError) as info:
+        PlaneCurve.from_text("p=3 k=1\nd=1\n1 0 0 1\n-1 2 0 1\n")
+    assert str(info.value) == "line 4: negative exponent in '-1 2 0 1'"
+
+
+def test_constructor_names_a_negative_exponent():
+    with pytest.raises(ValueError) as info:
+        PlaneCurve(field_for(3), 1, {(-1, 2, 0): 1})
+    assert str(info.value) == "negative exponent in term X^-1 Y^2 Z^0"
+
+
 @pytest.mark.parametrize("text", ["0 0 2 1; 0 0 2 3; 2 0 0 1", "1 0 0 1;1 0 0 1"])
 def test_parse_inline_refuses_a_duplicate_term(gf4, text):
     """As a curve file does: the later term must not silently win."""

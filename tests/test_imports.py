@@ -1,8 +1,10 @@
 """Import hygiene and the public API: numpy is loaded by `search` alone, so
-importing the package and running any other command never loads it, while
-every public name stays reachable from the package."""
+importing the package and running any other command never loads it;
+importing the package loads no submodule, and a command only the modules
+it calls; every public name stays reachable from the package."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -86,6 +88,25 @@ print("numpy" in sys.modules)
 """
 
 
+# Prints the planecurves submodules loaded after running the statement in
+# sys.argv[1], in a fresh interpreter; command output is swallowed.
+_LOADED_SCRIPT = """
+import contextlib, io, json, sys
+with contextlib.redirect_stdout(io.StringIO()):
+    exec(sys.argv[1])
+print(json.dumps(sorted(name.split(".", 1)[1] for name in sys.modules
+                        if name.startswith("planecurves."))))
+"""
+
+
+def _loaded_after(statement):
+    return set(json.loads(_fresh_python("-c", _LOADED_SCRIPT, statement)))
+
+
+def _cli(*argv):
+    return f"from planecurves.cli import main; assert main({list(argv)!r}) == 0"
+
+
 def _fresh_python(*args):
     """Run python with the given arguments in a fresh interpreter, with this
     package on its path; returns its stdout."""
@@ -153,3 +174,34 @@ def test_unknown_attribute_still_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         planecurves.no_such_name
     assert not hasattr(planecurves, "no_such_name")
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert _loaded_after("import planecurves") == set()
+
+
+def test_field_and_plane_load_only_their_own_imports():
+    assert _loaded_after("import planecurves.field, planecurves.plane") == {
+        "field", "unipoly", "plane"}
+
+
+def test_field_info_loads_only_the_cli_field_and_plane():
+    assert _loaded_after(_cli("field-info", "--field", "p=2,k=2")) == {
+        "cli", "field", "unipoly", "plane"}
+
+
+@pytest.mark.parametrize("command", ["count", "spectrum", "frobenius"])
+def test_analysis_commands_load_neither_bounds_nor_search(command):
+    loaded = _loaded_after(_cli(command, "--field", "p=2,k=2", "--catalog",
+                                "exceptional_quartic"))
+    assert "analysis" in loaded and not loaded & {"bounds", "search"}
+
+
+def test_every_export_is_the_object_of_its_module():
+    for module, names in planecurves._EXPORTS.items():
+        owner = importlib.import_module(f"planecurves.{module}")
+        assert getattr(planecurves, module) is owner
+        for name in names:
+            assert name in vars(owner), (module, name)
+            assert getattr(planecurves, name) is getattr(owner, name), (module, name)
+    assert set(planecurves.__all__) == set(planecurves._EXPORTS) | set(planecurves._OWNER)

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+from math import comb
 import tracemalloc
 
 import numpy as np
@@ -43,6 +44,63 @@ def test_exhaustive_maxima_match_theory(q, d, expected):
     record = run_search(task)
     assert record.best_N == expected == (d - 1) * q + 1
     assert record.witnesses
+
+
+def _forms(q, m):
+    """Nonzero forms in m coefficients, up to scalars."""
+    return (q ** m - 1) // (q - 1)
+
+
+@pytest.mark.parametrize("q,d", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+                                 (4, 2), (4, 3), (5, 2), (7, 2)])
+def test_exhaustive_records_meet_their_closed_forms(q, d):
+    """The Reed-Muller weight moments of the unfiltered histogram, and the
+    inclusion-exclusion count of forms with a linear factor; d > q for
+    (2, 3) and (2, 4).  run_search checks both itself, and raises if not."""
+    points, n = q * q + q + 1, (d + 1) * (d + 2) // 2
+    plain = run_search(SearchTask(ctx=field_for(q), degree=d, mode="exhaustive"))
+    for t in range(1, d + 2):
+        moment = sum(comb(big_n, t) * times for big_n, times in plain.histogram.items())
+        assert moment == comb(points, t) * _forms(q, n - t), t
+    filtered = run_search(SearchTask(ctx=field_for(q), degree=d, mode="exhaustive",
+                                     require_no_linear_component=True))
+    with_line = sum((-1) ** (s + 1) * comb(points, s) * _forms(q, (d - s + 1) * (d - s + 2) // 2)
+                    for s in range(1, d + 1))
+    assert filtered.discarded_linear == with_line
+    assert filtered.curves_examined + with_line == _forms(q, n) == plain.curves_examined
+
+
+def test_certificate_catches_a_miscounted_row(monkeypatch):
+    """A row that is no witness, counted one point short: only the moments see it."""
+    counts, blocks = _Engine.counts, []
+
+    def first_row_short(self, coeffs):
+        n, on = counts(self, coeffs)
+        if not blocks:
+            n[0] -= 1
+        blocks.append(len(n))
+        return n, on
+
+    monkeypatch.setattr(_Engine, "counts", first_row_short)
+    with pytest.raises(RuntimeError, match="exhaustive certificate failed"):
+        run_search(SearchTask(ctx=field_for(2), degree=3, mode="exhaustive"))
+
+
+@pytest.mark.parametrize("q,d", [(3, 2), (2, 3)], ids=["d<=q", "d>q"])
+def test_certificate_catches_a_flipped_linear_flag(monkeypatch, q, d):
+    linear_flags, blocks = _Engine.linear_flags, []
+
+    def first_flag_flipped(self, coeffs, on):
+        flags = linear_flags(self, coeffs, on)
+        if not blocks:
+            flags[0] = not flags[0]
+        blocks.append(len(flags))
+        return flags
+
+    monkeypatch.setattr(_Engine, "linear_flags", first_flag_flipped)
+    with pytest.raises(RuntimeError, match="discarded_linear"):
+        run_search(SearchTask(ctx=field_for(q), degree=d, mode="exhaustive",
+                              require_no_linear_component=True))
 
 
 def test_exhaustive_budget_refused():
