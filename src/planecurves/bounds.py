@@ -103,9 +103,7 @@ def bound_values(q: int, d: int) -> BoundReport:
     return BoundReport(q=q, d=d, values=values)
 
 
-def bound_verdicts(
-    curve: PlaneCurve, m_budget: Optional[int] = None, enum_cap: int = 10 ** 6
-) -> BoundReport:
+def bound_verdicts(curve: PlaneCurve, m_budget: Optional[int] = None) -> BoundReport:
     """Classify the curve and judge every bound against its point count.
 
     Each verdict carries the bound value, an "applicable" flag derived
@@ -122,7 +120,7 @@ def bound_verdicts(
     if m_budget is None:
         m_budget = analysis.certificate_budget(d)
     nonsing = analysis.is_geometrically_nonsingular(
-        curve, m_budget, enum_cap=enum_cap, rational=counts.rational_singular)
+        curve, m_budget, rational=counts.rational_singular)
     no_lin = counts.linear_component is None
     no_rat_sing = not counts.rational_singular
     nonclassical: Optional[bool] = None

@@ -187,9 +187,7 @@ def context_for(q: int) -> FiniteField:
     return FiniteField(p, k)
 
 
-def verify_catalog(
-    q_list, check_nonsingular: bool = True, enum_cap: int = 10 ** 6
-) -> list[dict]:
+def verify_catalog(q_list, check_nonsingular: bool = True) -> list[dict]:
     """Run every applicable entry over every q and report the checks.
 
     Each row records the exact count vs the closed form, the absence of
@@ -222,8 +220,7 @@ def verify_catalog(
             }
             if check_nonsingular:
                 verdict = analysis.is_geometrically_nonsingular(
-                    cur, analysis.certificate_budget(d), enum_cap=enum_cap
-                )
+                    cur, analysis.certificate_budget(d), rational=counts.rational_singular)
                 row["nonsingular"] = verdict.status
                 row["nonsingular_certified"] = verdict.certified
             rows.append(row)

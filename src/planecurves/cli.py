@@ -237,13 +237,12 @@ def cmd_spectrum(args) -> int:
 def cmd_singular(args) -> int:
     cur = _load_curve(args)
     budget = pc.analysis.certificate_budget(cur.degree) if args.m_budget is None else args.m_budget
-    verdict = pc.analysis.is_geometrically_nonsingular(cur, budget)
+    rational = pc.analysis.singular_rational_points(cur)
+    verdict = pc.analysis.is_geometrically_nonsingular(cur, budget, rational=rational)
     payload = {
         "q": cur.ctx.q,
         "d": cur.degree,
-        "singular_rational": [
-            plane.point_to_string(p) for p in pc.analysis.singular_rational_points(cur)
-        ],
+        "singular_rational": [plane.point_to_string(p) for p in rational],
         "geometric": verdict.to_json_dict(),
     }
     _emit(args, payload)

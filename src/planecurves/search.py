@@ -8,12 +8,12 @@ Batches are counted by one exact kernel for every q = p^k: a coefficient
 becomes its k base-p digits and a GF(q) value v the k x k GF(p) matrix of
 multiplication by v, so evaluating a batch at every point, restricting it
 to every line, or combining basis vectors is one float64 matmul reduced
-mod p.  The linear-component filter is read off the point counts.  An
-engine's tables depend only on (field, degree, filter), so a small bounded
-cache reuses them across searches.  The witnesses a record keeps (at most
-witness_cap) are re-verified before they enter it, all in one call of
-count_exact: a numpy fold of GF(q) codes through the field's own add and
-mul tables, in row slices, that shares no table with the engine.
+mod p.  The linear-component filter reads each line's points off the
+counts' membership matrix.  An engine depends only on (field, degree), so a
+small bounded cache reuses it across searches.  The witnesses a record
+keeps (at most witness_cap) are re-verified before they enter it, all in
+one call of count_exact: a numpy fold of GF(q) codes through the field's
+own add and mul tables, in row slices, that shares no table with the engine.
 
 A search is one pipeline over blocks of at most _CHUNK uint8 rows, drawn
 lazily in seed order and processed as they arrive, by a thread pool at most
@@ -24,15 +24,15 @@ Records carry the seed, the generator identifier and the full parameters,
 so a run can be replayed bit for bit, whatever the worker count.
 
 singular_constraint_basis and random_singular_instances live in analysis,
-which draws its forced-singular curves without numpy; they are imported
-here for constrained_random and for callers that name them from search.
+which needs no numpy; search imports them back for constrained_random and
+for callers that name them from search.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
 from math import comb
 from typing import Optional
@@ -146,28 +146,32 @@ class _Engine:
     A line divides a curve only if all q+1 of its points lie on the curve.
     For d <= q the converse holds too: the restriction to the line is a
     binary form of degree d, and a nonzero one has at most d roots on
-    P^1(F_q).  So the membership-times-incidence test decides the linear
-    component exactly for d <= q; for d > q its candidates are restricted
-    to every line.
+    P^1(F_q).  So a test of each line's points against the membership
+    matrix decides the linear component exactly for d <= q; for d > q its
+    candidates are restricted to every line.
     """
 
-    def __init__(self, ctx, degree: int, with_linear_flags: bool):
+    def __init__(self, ctx, degree: int):
         self.ctx = ctx
         self.degree = degree
-        pl = self.pl = plane.get_plane(ctx)
         self.p = ctx.char
-        self.digits, mul = _gfp_tables(ctx)
+        self.digits, self.mul = _gfp_tables(ctx)
         self.k = self.digits.shape[1]
         singles = [PlaneCurve(ctx, degree, {m: 1}) for m in monomials(degree)]
-        self.point_map = _lift(mul, [[f.evaluate(pt) for pt in pl.points] for f in singles])
-        self.incidence = self.rest_map = None
-        if with_linear_flags:
-            self.incidence = np.zeros((len(pl.points), len(pl.lines)))
-            for li, pts in enumerate(pl.points_on):
-                self.incidence[list(pts), li] = 1
-            if degree > ctx.q:
-                rest = [restriction_map(ctx, degree, line) for line in pl.lines]
-                self.rest_map = _lift(mul, np.concatenate(rest, axis=1))
+        points = plane.enumerate_points(ctx)
+        self.point_map = _lift(self.mul, [[f.evaluate(pt) for pt in points] for f in singles])
+
+    @cached_property
+    def line_tables(self):
+        """(line_points, rest_map), built on first use: column l of
+        line_points holds line l's q+1 point indices; rest_map, for d > q
+        only, lifts every line's restriction map."""
+        pl = plane.get_plane(self.ctx)
+        rest_map = None
+        if self.degree > self.ctx.q:
+            rest = [restriction_map(self.ctx, self.degree, line) for line in pl.lines]
+            rest_map = _lift(self.mul, np.concatenate(rest, axis=1))
+        return np.array(pl.points_on, dtype=np.intp).T, rest_map
 
     def _vanishing(self, coeffs: np.ndarray, lifted: np.ndarray) -> np.ndarray:
         """Entry (r, c): the c-th GF(q) output of row r is zero."""
@@ -185,23 +189,22 @@ class _Engine:
     def linear_flags(self, coeffs: np.ndarray, on: np.ndarray) -> np.ndarray:
         """True where the curve has an F_q-linear component; on is the
         membership matrix from counts."""
-        flags = np.zeros(coeffs.shape[0], dtype=bool)
-        for rows in _slices(on.shape[0], self.incidence.shape[1]):
-            flags[rows] = ((on[rows] @ self.incidence) == self.ctx.q + 1).any(axis=1)
-        if self.rest_map is None:  # d <= q: the incidence test is exact
+        line_points, rest_map = self.line_tables
+        full = on[:, line_points[0]]  # entry (r, l): line l lies on curve r so far
+        for col in line_points[1:]:
+            full &= on[:, col]
+        flags = full.any(axis=1)
+        if rest_map is None:  # d <= q: the point test is exact
             return flags
         cand = np.nonzero(flags)[0]
-        zero = self._vanishing(coeffs[cand], self.rest_map)
-        zero = zero.reshape(len(cand), len(self.pl.lines), self.degree + 1)
+        zero = self._vanishing(coeffs[cand], rest_map)
+        zero = zero.reshape(len(cand), line_points.shape[1], self.degree + 1)
         flags[cand] = zero.all(axis=2).any(axis=1)
         return flags
 
 
-@lru_cache(maxsize=8)
-def _engine(ctx, degree: int, with_linear_flags: bool) -> _Engine:
-    """The engine for one (field, degree, filter), reused across searches:
-    its tables depend on nothing else.  Equal contexts share it."""
-    return _Engine(ctx, degree, with_linear_flags)
+# one engine per (field, degree), reused across searches; equal contexts share it
+_engine = lru_cache(maxsize=8)(_Engine)
 
 
 def count_exact(ctx, degree: int, rows) -> list[int]:
@@ -328,10 +331,7 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchRecord:
         raise ValueError("singular_at is for constrained_random searches only")
     n_monos = task.n_monomials()
     record = SearchRecord(
-        q=q,
-        degree=task.degree,
-        mode=task.mode,
-        seed=task.seed,
+        q=q, degree=task.degree, mode=task.mode, seed=task.seed,
         generator=GENERATOR_ID if task.mode != "exhaustive" else "exhaustive-lex",
         engine=ENGINE_ID,
         witness_cap=task.witness_cap,
@@ -349,10 +349,8 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchRecord:
                 raise ValueError(f"exhaustive searches take no {name}")
         total = task.canonical_count()
         if total > task.budget:
-            raise ValueError(
-                f"exhaustive search needs {total} canonical forms, over the "
-                f"budget {task.budget}"
-            )
+            raise ValueError(f"exhaustive search needs {total} canonical forms, "
+                             f"over the budget {task.budget}")
         blocks = _exhaustive_blocks(q, n_monos)
 
     elif task.mode in ("random", "constrained_random"):
@@ -374,7 +372,9 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchRecord:
     else:
         raise ValueError(f"unknown search mode {task.mode!r}")
 
-    engine = _engine(ctx, task.degree, task.require_no_linear_component)
+    engine = _engine(ctx, task.degree)
+    if task.require_no_linear_component:
+        engine.line_tables  # built once, here, before any block is dispatched
 
     def process(coeffs):
         nonzero = coeffs.any(axis=1)
@@ -388,9 +388,7 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchRecord:
             coeffs, counts = coeffs[keep], counts[keep]
         if counts.size == 0:
             return zero_dropped, lin_dropped, {}, None, []
-        hist: dict[int, int] = {}
-        for value, times in zip(*np.unique(counts, return_counts=True)):
-            hist[int(value)] = int(times)
+        hist = {int(v): int(t) for v, t in zip(*np.unique(counts, return_counts=True))}
         best = int(counts.max())
         rows = coeffs[np.nonzero(counts == best)[0][: task.witness_cap]]
         return zero_dropped, lin_dropped, hist, best, rows

@@ -6,7 +6,7 @@ import pytest
 from planecurves import analysis, cli, locus, plane
 from planecurves.analysis import INFINITE
 from planecurves.bounds import bound_verdicts
-from planecurves.catalog import catalog_curve, exceptional_quartic
+from planecurves.catalog import CATALOG, catalog_curve, exceptional_quartic, verify_catalog
 from planecurves.curve import PlaneCurve, curve_mul, restriction_map
 from planecurves.field import FiniteField
 from planecurves.locus import singular_points_over_extension
@@ -274,16 +274,19 @@ def test_one_scan_classification_matches_oracles():
 
 
 def test_each_analysis_scans_the_plane_once(monkeypatch, gf5, tmp_path, capsys):
-    """count_points and line_spectrum evaluate F once per point of the
-    plane; bound_verdicts and cli lemma-check stay below two scans."""
+    """count_points, line_spectrum and cli singular evaluate F once per
+    point of the plane; bound_verdicts and cli lemma-check stay below two
+    scans; verify_catalog evaluates each entry and its partials as often as
+    count_points alone does."""
     rng = random.Random(55)
     cur = random_curve(gf5, 4, rng)
     path = tmp_path / "quartic.curve"
     path.write_text(cur.to_text())
-    calls = []
+    calls, every = [], []
     original = PlaneCurve.evaluate
 
     def counted(self, point):
+        every.append(point)
         if self == cur:  # lemma-check loads its own copy of the curve
             calls.append(point)
         return original(self, point)
@@ -301,6 +304,20 @@ def test_each_analysis_scans_the_plane_once(monkeypatch, gf5, tmp_path, capsys):
     assert cli.main(["lemma-check", "--curve", str(path), "--no-timestamp"]) == 0
     assert len(calls) < 2 * points
     assert json.loads(capsys.readouterr().out)["N"] == analysis.count_points(cur).N
+    calls.clear()
+    assert cli.main(["singular", "--curve", str(path), "--no-timestamp"]) == 0
+    assert len(calls) == points
+    assert json.loads(capsys.readouterr().out)["singular_rational"] == [
+        plane.point_to_string(pt) for pt in analysis.singular_rational_points(cur)]
+    gf4 = FiniteField(2, 2)
+    every.clear()
+    for entry in CATALOG.values():
+        if entry.applicable(4) is None:
+            analysis.count_points(entry.build(gf4))
+    one_scan = len(every)
+    every.clear()
+    verify_catalog([4])
+    assert len(every) == one_scan
 
 
 def test_handed_over_points_give_the_same_results():

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import threading
 from math import comb
 import tracemalloc
 
@@ -206,7 +207,7 @@ def test_engine_matches_exact_counts():
     prng = random.Random(7)
     for q, d in ENGINE_CASES:
         ctx = field_for(q)
-        engine = _Engine(ctx, d, with_linear_flags=True)
+        engine = _Engine(ctx, d)
         n_random = 30 if q <= 9 else 8
         batch = rng.integers(0, q, size=(n_random, len(monomials(d)))).astype(np.uint8)
         batch = np.vstack([batch[batch.any(axis=1)],
@@ -219,7 +220,7 @@ def test_engine_batches_without_candidates():
     """d > q: a batch in which no line lies wholly on any curve, and an
     empty batch, both go through the restriction branch."""
     ctx = field_for(2)
-    engine = _Engine(ctx, 4, with_linear_flags=True)
+    engine = _Engine(ctx, 4)
     pl = plane.get_plane(ctx)
     rng = np.random.default_rng(3)
     batch = rng.integers(0, 2, size=(200, len(monomials(4)))).astype(np.uint8)
@@ -298,6 +299,39 @@ PINNED_CONSTRAINED_GF9 = {
                "singular_at": "0:0:1", "budget": 10000000},
 }
 
+# Two filtered random searches recorded while the filter still multiplied
+# the membership matrix by a dense point-line incidence matrix: GF(3)
+# quartics (d > q, so candidates are restricted to every line) and GF(16)
+# cubics.
+PINNED_RANDOM_GF3_QUARTICS = {
+    "q": 3, "degree": 4, "mode": "random", "seed": 31, "generator": "numpy-pcg64",
+    "curves_examined": 1917, "discarded_linear": 83, "discarded_zero": 0,
+    "histogram": {"0": 18, "1": 63, "2": 204, "3": 376, "4": 452, "5": 422, "6": 237,
+                  "7": 115, "8": 23, "9": 6, "10": 1},
+    "best_N": 10,
+    "witnesses": [
+        [[[0, 2, 2], 2], [[0, 3, 1], 2], [[1, 0, 3], 2], [[1, 1, 2], 1], [[1, 2, 1], 1],
+         [[2, 0, 2], 2], [[2, 1, 1], 2], [[2, 2, 0], 2], [[3, 0, 1], 1], [[4, 0, 0], 1]],
+    ],
+    "witness_cap": 4,
+    "params": {"n_samples": 2000, "require_no_linear_component": True,
+               "singular_at": None, "budget": 10000000},
+}
+PINNED_RANDOM_GF16 = {
+    "q": 16, "degree": 3, "mode": "random", "seed": 16, "generator": "numpy-pcg64",
+    "curves_examined": 1498, "discarded_linear": 2, "discarded_zero": 0,
+    "histogram": {"9": 2, "10": 96, "12": 156, "13": 23, "14": 182, "16": 256, "17": 21,
+                  "18": 280, "20": 208, "21": 29, "22": 152, "24": 92, "25": 1},
+    "best_N": 25,
+    "witnesses": [
+        [[[0, 2, 1], 12], [[0, 3, 0], 7], [[1, 0, 2], 12], [[1, 2, 0], 13], [[2, 0, 1], 1],
+         [[2, 1, 0], 15], [[3, 0, 0], 9]],
+    ],
+    "witness_cap": 4,
+    "params": {"n_samples": 1500, "require_no_linear_component": True,
+               "singular_at": None, "budget": 10000000},
+}
+
 
 @pytest.mark.parametrize("task,pinned", [
     (SearchTask(ctx=field_for(4), degree=3, mode="random", seed=2024, n_samples=3000,
@@ -305,7 +339,11 @@ PINNED_CONSTRAINED_GF9 = {
     (SearchTask(ctx=field_for(9), degree=3, mode="constrained_random", seed=7,
                 n_samples=800, require_no_linear_component=True, singular_at=(0, 0, 1),
                 witness_cap=4), PINNED_CONSTRAINED_GF9),
-], ids=["random-gf4", "constrained-gf9"])
+    (SearchTask(ctx=field_for(3), degree=4, mode="random", seed=31, n_samples=2000,
+                require_no_linear_component=True, witness_cap=4), PINNED_RANDOM_GF3_QUARTICS),
+    (SearchTask(ctx=field_for(16), degree=3, mode="random", seed=16, n_samples=1500,
+                require_no_linear_component=True, witness_cap=4), PINNED_RANDOM_GF16),
+], ids=["random-gf4", "constrained-gf9", "random-gf3-quartics", "random-gf16"])
 def test_seeded_records_pinned(task, pinned):
     record = json.loads(json.dumps(run_search(task).to_json_dict()))
     record.pop("engine")
@@ -424,10 +462,73 @@ def test_searches_with_the_same_key_share_one_engine(engine_builds):
     other = SearchTask(ctx=FiniteField(2, 2), degree=3, mode="random", seed=6,
                        n_samples=500, require_no_linear_component=True)
     run_search(other)
-    assert len(engine_builds) == 1
-    # the filter is part of the key
+    # the filter is not part of the key
     run_search(SearchTask(ctx=FiniteField(2, 2), degree=3, mode="random", seed=5, n_samples=500))
+    assert len(engine_builds) == 1
+    run_search(SearchTask(ctx=FiniteField(2, 2), degree=4, mode="random", seed=5, n_samples=500))
     assert len(engine_builds) == 2
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("task", [
+    SearchTask(ctx=field_for(2), degree=4, mode="exhaustive"),
+    SearchTask(ctx=field_for(4), degree=4, mode="random", seed=5, n_samples=40_000),
+    SearchTask(ctx=field_for(9), degree=3, mode="constrained_random", seed=6,
+               n_samples=40_000, singular_at=(0, 0, 1)),
+], ids=["exhaustive", "random", "constrained"])
+def test_unfiltered_searches_build_no_plane(engine_builds, monkeypatch, task, workers):
+    """From a cold engine cache: counting reads the points from
+    plane.enumerate_points, and only the linear-component filter reads the
+    plane's lines."""
+    def refuse(ctx):
+        raise AssertionError("an unfiltered search read the projective plane")
+
+    monkeypatch.setattr(plane, "get_plane", refuse)
+    assert run_search(task, workers=workers).curves_examined > 0
+    assert len(engine_builds) == 1
+
+
+def test_filter_tables_are_built_once_before_dispatch(engine_builds, monkeypatch):
+    """GF(2) quartics span 15 blocks, and d > q, so the tables include the
+    lifted restriction maps; the calling thread builds them, once per key."""
+    real, calls = plane.get_plane, []
+
+    def counted(ctx):
+        calls.append(threading.current_thread())
+        return real(ctx)
+
+    monkeypatch.setattr(plane, "get_plane", counted)
+    task = SearchTask(ctx=field_for(2), degree=4, mode="exhaustive",
+                      require_no_linear_component=True)
+    first = run_search(task, workers=3).to_json_dict()
+    assert calls == [threading.main_thread()]
+    assert run_search(task, workers=3).to_json_dict() == first
+    assert len(calls) == 1 and len(engine_builds) == 1
+
+
+def test_filter_tables_and_flags_stay_small():
+    """A GF(16) engine's filter tables hold the 17 x 273 point indices of
+    the lines, about 37 KB; the dense 273 x 273 float64 incidence matrix
+    they replace was 0.6 MB.  The flags of a batch hold no array larger
+    than its membership matrix beside it."""
+    ctx = field_for(16)
+    engine = _Engine(ctx, 3)
+    plane.get_plane(ctx)  # cached for every caller, not part of the engine
+    batch = np.random.default_rng(4).integers(1, 16, size=(2048, 10)).astype(np.uint8)
+    _, on = engine.counts(batch)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        line_points, rest_map = engine.line_tables
+        retained = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        engine.linear_flags(batch, on)
+        flags_peak = tracemalloc.get_traced_memory()[1] - retained
+    finally:
+        tracemalloc.stop()
+    assert line_points.shape == (17, 273) and rest_map is None
+    assert retained < 100_000
+    assert flags_peak < 2.2 * on.nbytes
 
 
 def test_engine_cache_is_bounded(engine_builds):

@@ -149,7 +149,7 @@ def test_count_exact_working_set_is_bounded():
 def test_count_exact_is_independent_of_the_engine():
     """The oracle names no part of the engine it checks."""
     engine_names = {"_Engine", "_engine", "_gfp_tables", "_lift", "_products", "_vanishing",
-                    "point_map", "get_plane"}
+                    "point_map", "line_tables", "get_plane"}
     defs = {node.name: node for node in ast.parse(inspect.getsource(search)).body
             if isinstance(node, ast.FunctionDef)}
     nodes = list(ast.walk(defs["count_exact"]))
