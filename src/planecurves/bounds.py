@@ -16,23 +16,27 @@ Verdicts never use floating point: the Weil comparison squares both sides.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from types import SimpleNamespace
 from typing import Optional
 
 from . import analysis, linalg, plane
 from .curve import PlaneCurve
-from .field import is_prime
+
+# the rationals as a linalg field context, for the step-3 system
+_RATIONALS = SimpleNamespace(
+    add=operator.add, sub=operator.sub, mul=operator.mul, neg=operator.neg,
+    inv=lambda a: 1 / Fraction(a))
 
 
 def prime_power(q: int) -> tuple[int, int]:
     """(p, k) with q = p^k, or raise ValueError."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    p = next((f for f in range(2, q + 1) if q % f == 0), q)
-    if not is_prime(p):
-        raise ValueError(f"{q} is not a prime power")
+    p = next(f for f in range(2, q + 1) if q % f == 0)  # least divisor: prime
     k = 0
     rest = q
     while rest % p == 0:
@@ -134,43 +138,20 @@ def bound_verdicts(curve: PlaneCurve, m_budget: Optional[int] = None) -> BoundRe
         "frobenius_nonclassical": nonclassical,
     }
     conjecture_range = 2 <= d <= q + 1
+    nonsingular = nonsing.status == "nonsingular"
     v = report.values
+    rules = {  # bound: (applicable, holds)
+        "trivial": (True, n <= v["trivial"]),
+        "sziklai": (no_lin and conjecture_range, n <= v["sziklai"]),
+        "previous": (no_lin and conjecture_range, n <= v["previous"]),
+        "segre": (no_lin and conjecture_range, n <= v["segre"]),
+        "stohr_voloch": (nonclassical is False, n <= v["stohr_voloch"]),
+        "hefez_voloch": (nonclassical is True and nonsingular, n == v["hefez_voloch"]),
+        "weil": (nonsingular, weil_holds(n, q, d)),
+    }
     verdicts = {
-        "trivial": {
-            "value": v["trivial"],
-            "applicable": True,
-            "holds": n <= v["trivial"],
-        },
-        "sziklai": {
-            "value": v["sziklai"],
-            "applicable": no_lin and conjecture_range,
-            "holds": n <= v["sziklai"],
-        },
-        "previous": {
-            "value": v["previous"],
-            "applicable": no_lin and conjecture_range,
-            "holds": n <= v["previous"],
-        },
-        "segre": {
-            "value": v["segre"],
-            "applicable": no_lin and conjecture_range,
-            "holds": n <= v["segre"],
-        },
-        "stohr_voloch": {
-            "value": v["stohr_voloch"],
-            "applicable": nonclassical is False,
-            "holds": n <= v["stohr_voloch"],
-        },
-        "hefez_voloch": {
-            "value": v["hefez_voloch"],
-            "applicable": nonclassical is True and nonsing.status == "nonsingular",
-            "holds": n == v["hefez_voloch"],
-        },
-        "weil": {
-            "value": v["weil"],
-            "applicable": nonsing.status == "nonsingular",
-            "holds": weil_holds(n, q, d),
-        },
+        bound: {"value": v[bound], "applicable": applicable, "holds": holds}
+        for bound, (applicable, holds) in rules.items()
     }
     return BoundReport(
         q=q,
@@ -204,31 +185,19 @@ def step3_solution(q: int) -> dict:
     for q > 4, which is the contradiction the step needs.
     """
     n = q * q - q + 2
-    rows = [
-        [Fraction(1), Fraction(1), Fraction(1), Fraction(q * q + q + 1)],
-        [Fraction(q - 2), Fraction(q - 1), Fraction(q), Fraction((q + 1) * n)],
-        [
-            Fraction((q - 2) * (q - 3), 2),
-            Fraction((q - 1) * (q - 2), 2),
-            Fraction(q * (q - 1), 2),
-            Fraction(n * (n - 1), 2),
-        ],
-    ]
-    for col in range(3):
-        piv = next(r for r in range(col, 3) if rows[r][col] != 0)
-        rows[col], rows[piv] = rows[piv], rows[col]
-        rows[col] = [c / rows[col][col] for c in rows[col]]
-        for r in range(3):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    sol = {
-        "a_q_minus_2": rows[0][3],
-        "a_q_minus_1": rows[1][3],
-        "a_q": rows[2][3],
+    system = (
+        (1, 1, 1),
+        (q - 2, q - 1, q),
+        (Fraction((q - 2) * (q - 3), 2), Fraction((q - 1) * (q - 2), 2), Fraction(q * (q - 1), 2)),
+    )
+    counts = (Fraction(q * q + q + 1), Fraction((q + 1) * n), Fraction(n * (n - 1), 2))
+    a = linalg.mat_vec(_RATIONALS, linalg.mat_inv(_RATIONALS, system), counts)
+    return {
+        "a_q_minus_2": a[0],
+        "a_q_minus_1": a[1],
+        "a_q": a[2],
         "expected_a_q_minus_1": Fraction((q - 2) * (4 - q)),
     }
-    return sol
 
 
 def pgl_class_count(q: int) -> int:
@@ -285,29 +254,24 @@ def projective_equivalent(
 
 def _find_frame(ctx, points):
     """Four points, no three collinear, from the given point list."""
-    for combo in itertools.combinations(points, 4):
-        good = all(
-            not plane.collinear(ctx, a, b, c)
-            for a, b, c in itertools.combinations(combo, 3)
-        )
-        if good:
-            return combo
-    return None
+    return next(
+        (combo for combo in itertools.combinations(points, 4)
+         if plane.collinear_triple(ctx, combo) is None),
+        None,
+    )
 
 
 def _frame_matrix(ctx, frame):
-    """The matrix sending e1, e2, e3, (1,1,1) to the four frame points."""
+    """The matrix sending e1, e2, e3, (1,1,1) to the four frame points.
+    In a frame p4 lies on no side of the triangle p1 p2 p3, so every
+    coordinate of lam is nonzero."""
     p1, p2, p3, p4 = frame
     cols = (p1, p2, p3)
     rows = tuple(tuple(cols[c][r] for c in range(3)) for r in range(3))
-    inv = linalg.mat_inv(ctx, rows)
-    lam = linalg.mat_vec(ctx, inv, p4)
-    if 0 in lam:
-        return None  # degenerate: p4 on a side of the triangle
-    scaled = tuple(
+    lam = linalg.mat_vec(ctx, linalg.mat_inv(ctx, rows), p4)
+    return tuple(
         tuple(ctx.mul(lam[c], cols[c][r]) for c in range(3)) for r in range(3)
     )
-    return scaled
 
 
 def equivalent_by_point_frames(
@@ -330,22 +294,13 @@ def equivalent_by_point_frames(
     frame_g = _find_frame(ctx, pts_g)
     if frame_g is None:
         raise ValueError("point set of the target carries no frame")
-    m_g = _frame_matrix(ctx, frame_g)
-    if m_g is None:
-        raise ValueError("frame matrix degenerated")
-    m_g_inv = linalg.mat_inv(ctx, m_g)
+    m_g_inv = linalg.mat_inv(ctx, _frame_matrix(ctx, frame_g))
     f_set = set(pts_f)
     others = [p for p in pts_g if p not in set(frame_g)]
     for combo in itertools.permutations(pts_f, 4):
-        if any(
-            plane.collinear(ctx, a, b, c)
-            for a, b, c in itertools.combinations(combo, 3)
-        ):
+        if plane.collinear_triple(ctx, combo) is not None:
             continue
-        m_f = _frame_matrix(ctx, combo)
-        if m_f is None:
-            continue
-        cand = linalg.mat_mul(ctx, m_f, m_g_inv)
+        cand = linalg.mat_mul(ctx, _frame_matrix(ctx, combo), m_g_inv)
         ok = True
         for gp in others:
             image = linalg.mat_vec(ctx, cand, gp)

@@ -63,10 +63,13 @@ def _parse_catalog_flag(text: str):
         name, params_text.split(",") if params_text else [])
 
 
-def _load_curve(args) -> "pc.PlaneCurve":
+def _load_curve(args, flag="--") -> "pc.PlaneCurve":
+    """The curve named by exactly one of {flag}curve, {flag}inline and
+    {flag}catalog; flag is how the error messages spell the options."""
     sources = [s for s in ("curve", "inline", "catalog") if getattr(args, s, None)]
     if len(sources) != 1:
-        raise ValueError("exactly one of --curve, --inline, --catalog is required")
+        raise ValueError(
+            f"exactly one of {flag}curve, {flag}inline, {flag}catalog is required")
     source = sources[0]
     if source == "curve":
         cur = pc.PlaneCurve.from_file(args.curve)
@@ -74,7 +77,7 @@ def _load_curve(args) -> "pc.PlaneCurve":
             raise ValueError("--field disagrees with the curve file header")
         return cur
     if not args.field:
-        raise ValueError(f"--{source} needs --field")
+        raise ValueError(f"{flag}{source} needs --field")
     ctx = _parse_field_flag(args.field)
     if source == "inline":
         return pc.PlaneCurve.parse_inline(ctx, args.inline)
@@ -277,7 +280,7 @@ def cmd_equiv(args) -> int:
         inline=args.other_inline,
         catalog=args.other_catalog,
     )
-    other = _load_curve(other_args)
+    other = _load_curve(other_args, flag="--other-")
     if args.method == "frames":
         witness = pc.bounds.equivalent_by_point_frames(cur, other)
     else:

@@ -27,30 +27,13 @@ def identity(n: int):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_inv(ctx, m):
-    """Inverse by Gauss-Jordan elimination, or None if singular."""
-    n = len(m)
-    aug = [list(row) + list(ident_row) for row, ident_row in zip(m, identity(n))]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = ctx.inv(aug[col][col])
-        aug[col] = [ctx.mul(inv_p, c) for c in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def nullspace(ctx, rows, ncols: int):
-    """Basis of the right kernel of the given row vectors."""
+def _reduce(ctx, rows, ncols: int):
+    """Gauss-Jordan elimination on the first ncols columns: the reduced
+    row echelon rows and their pivot columns."""
     mat = [list(r) for r in rows]
     pivots: list[int] = []
-    r = 0
     for col in range(ncols):
+        r = len(pivots)
         piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
         if piv is None:
             continue
@@ -62,13 +45,27 @@ def nullspace(ctx, rows, ncols: int):
                 f = mat[i][col]
                 mat[i] = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(mat[i], mat[r])]
         pivots.append(col)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    return mat, pivots
+
+
+def mat_inv(ctx, m):
+    """Inverse by reducing [M | I], or None if singular."""
+    n = len(m)
+    mat, pivots = _reduce(ctx, [tuple(row) + e for row, e in zip(m, identity(n))], n)
+    if len(pivots) < n:
+        return None
+    return tuple(tuple(row[n:]) for row in mat)
+
+
+def nullspace(ctx, rows, ncols: int):
+    """Basis of the right kernel of the given row vectors, one vector per
+    free column."""
+    mat, pivots = _reduce(ctx, rows, ncols)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         vec = [0] * ncols
         vec[fc] = 1
-        for row_i, pc in enumerate(pivots):
-            vec[pc] = ctx.neg(mat[row_i][fc])
+        for row, pc in zip(mat, pivots):
+            vec[pc] = ctx.neg(row[fc])
         basis.append(tuple(vec))
     return basis

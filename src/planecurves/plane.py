@@ -80,15 +80,19 @@ def collinear(ctx, p: Triple, q: Triple, r: Triple) -> bool:
     return incident(ctx, r, c)
 
 
+def collinear_triple(ctx, points) -> tuple[Triple, Triple, Triple] | None:
+    """The first collinear triple of the points in combination order, or
+    None if no three of them are collinear."""
+    return next((t for t in itertools.combinations(points, 3) if collinear(ctx, *t)), None)
+
+
 def is_arc(ctx, points) -> tuple[bool, tuple[Triple, Triple, Triple] | None]:
     """No three collinear?  Returns (verdict, first violating triple)."""
     pts = sorted({normalize(ctx, p) for p in points})
     if len(pts) < 3:
         raise ValueError("an arc needs at least 3 points")
-    for p, q, r in itertools.combinations(pts, 3):
-        if collinear(ctx, p, q, r):
-            return False, (p, q, r)
-    return True, None
+    triple = collinear_triple(ctx, pts)
+    return triple is None, triple
 
 
 def span(ctx, line: Triple) -> tuple[Triple, Triple]:

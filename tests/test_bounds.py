@@ -1,11 +1,14 @@
+import ast
+import inspect
+import itertools
 import random
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 
-from planecurves import analysis, bounds, linalg
-from planecurves.catalog import catalog_curve, exceptional_quartic
+from planecurves import analysis, bounds, linalg, plane
+from planecurves.catalog import CATALOG, catalog_curve, exceptional_quartic
 from planecurves.curve import PlaneCurve, curve_mul
 from planecurves.field import ExtensionField
 
@@ -74,6 +77,18 @@ def test_step3_solution_negative_for_large_q():
     n = q * q - q + 2
     assert a + b + c == q * q + q + 1
     assert (q - 2) * a + (q - 1) * b + q * c == (q + 1) * n
+
+
+def test_step3_solution_in_closed_form():
+    for q in range(2, 65):
+        sol = bounds.step3_solution(q)
+        assert sol == {
+            "a_q_minus_2": q * q - 3 * q + 3,
+            "a_q_minus_1": (q - 2) * (4 - q),
+            "a_q": q * q - 2 * q + 6,
+            "expected_a_q_minus_1": (q - 2) * (4 - q),
+        }
+        assert all(type(v) is Fraction for v in sol.values())
 
 
 def test_verdicts_on_exceptional_quartic(gf4):
@@ -163,6 +178,40 @@ def test_point_frame_equivalence_on_quartic(gf4):
         assert target.transform(witness).scalar_equal(moved)
     other = catalog_curve("deg_q", gf4)  # 13 points, cannot match
     assert bounds.equivalent_by_point_frames(target, other) is None
+
+
+def test_frame_matrix_sends_the_standard_frame_onto_every_frame():
+    """Every frame among the rational points of each catalog curve over
+    GF(4), GF(5) and GF(7) with at most 26 points (one GF(7) curve of 36
+    points alone has 36 495 frames): the matrix's columns and their sum
+    are the four points, up to scalars."""
+    for q in (4, 5, 7):
+        ctx = field_for(q)
+        for name, entry in CATALOG.items():
+            if entry.applicable(q) is not None:
+                continue
+            pts = analysis.rational_points(catalog_curve(name, ctx))
+            if len(pts) > 26:
+                continue
+            for frame in itertools.combinations(pts, 4):
+                if plane.collinear_triple(ctx, frame) is not None:
+                    continue
+                m = bounds._frame_matrix(ctx, frame)
+                images = [linalg.mat_vec(ctx, m, e)
+                          for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))]
+                assert [plane.normalize(ctx, v) for v in images] == list(frame)
+
+
+def test_brute_force_equivalence_is_independent_of_the_frame_method():
+    """The oracle names no part of the point-frame search it checks."""
+    frame_names = {"_find_frame", "_frame_matrix", "collinear_triple",
+                   "equivalent_by_point_frames"}
+    defs = {node.name: node for node in ast.parse(inspect.getsource(bounds)).body
+            if isinstance(node, ast.FunctionDef)}
+    nodes = list(ast.walk(defs["projective_equivalent"]))
+    names = {node.id for node in nodes if isinstance(node, ast.Name)}
+    names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    assert not names & frame_names
 
 
 def test_no_sziklai_violation_for_nonsingular_curves_q_above_4():

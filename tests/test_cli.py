@@ -144,6 +144,19 @@ def test_equiv_subcommand(capsys, tmp_path):
     assert payload["equivalent"] is True and payload["witness"] is not None
 
 
+@pytest.mark.parametrize("other", [
+    (),
+    ("--other-catalog", "exceptional_quartic", "--other-inline", "4 0 0 1"),
+])
+def test_equiv_names_the_other_curve_flags(capsys, other):
+    code, out, err = run_cli(
+        capsys, "equiv", "--field", "p=2,k=2", "--catalog", "exceptional_quartic", *other,
+    )
+    assert code == 1 and out == ""
+    assert err == ("error: exactly one of --other-curve, --other-inline, --other-catalog"
+                   " is required\n")
+
+
 def test_catalog_list_and_emit_round_trip(capsys):
     code, out, _ = run_cli(capsys, "catalog", "--no-timestamp")
     assert code == 0

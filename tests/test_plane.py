@@ -108,6 +108,15 @@ def test_quartic_point_set_is_not_an_arc(gf4):
     assert plane.collinear(gf4, p, q, r)
 
 
+def test_collinear_triple_is_the_first_in_combination_order(gf4):
+    pts = rational_points(exceptional_quartic(gf4))
+    for k in range(3, 8):
+        for combo in itertools.combinations(pts, k):
+            first = next((t for t in itertools.combinations(combo, 3)
+                          if plane.collinear(gf4, *t)), None)
+            assert plane.collinear_triple(gf4, combo) == first
+
+
 def test_max_arc_sizes():
     """Over GF(3) no 5-point arc exists; over GF(4) a 6-point arc does."""
     ctx = field_for(3)
