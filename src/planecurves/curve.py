@@ -172,7 +172,7 @@ class PlaneCurve:
     def transform(self, matrix) -> "PlaneCurve":
         """F composed with an invertible matrix: result(P) = F(M . P)."""
         ctx = self.ctx
-        if linalg.mat_inv(ctx, matrix) is None:
+        if not linalg.det3(ctx, matrix):
             raise ValueError("transform needs an invertible matrix")
         acc = _substitute(self, matrix)
         if not acc:

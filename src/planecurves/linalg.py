@@ -27,6 +27,14 @@ def identity(n: int):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def det3(ctx, m):
+    """Determinant of a 3 x 3 matrix, by cofactors along the first row."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    mul, sub = ctx.mul, ctx.sub
+    return ctx.add(sub(mul(a, sub(mul(e, i), mul(f, h))), mul(b, sub(mul(d, i), mul(f, g)))),
+                   mul(c, sub(mul(d, h), mul(e, g))))
+
+
 def _reduce(ctx, rows, ncols: int):
     """Gauss-Jordan elimination on the first ncols columns: the reduced
     row echelon rows and their pivot columns."""

@@ -7,7 +7,7 @@ nonzero coefficient to 1 in exhaustive mode.
 Batches are counted by one exact kernel for every q = p^k: a coefficient
 becomes its k base-p digits and a GF(q) value v the k x k GF(p) matrix of
 multiplication by v, so evaluating a batch at every point, restricting it
-to every line, or combining basis vectors is one float64 matmul reduced
+to a line, or combining basis vectors is one float64 matmul reduced
 mod p.  The linear-component filter reads each line's points off the
 counts' membership matrix.  An engine depends only on (field, degree), so a
 small bounded cache reuses it across searches.  The witnesses a record
@@ -146,9 +146,13 @@ class _Engine:
     A line divides a curve only if all q+1 of its points lie on the curve.
     For d <= q the converse holds too: the restriction to the line is a
     binary form of degree d, and a nonzero one has at most d roots on
-    P^1(F_q).  So a test of each line's points against the membership
-    matrix decides the linear component exactly for d <= q; for d > q its
-    candidates are restricted to every line.
+    P^1(F_q).  For d > q, write the restriction to the line s*a + t*b,
+    (a, b) = plane.span, as g = sum g_i s^(d-i) t^i.  If g vanishes on
+    P^1(F_q) then g = (s^q t - s t^q) G with deg G = d-q-1, and G's
+    coefficients map onto g_1 .. g_(d-q) by a unitriangular matrix.  So
+    the line divides the curve exactly when all its points lie on it and
+    g_1 = ... = g_(d-q) = 0, and only those d-q coefficients are computed,
+    for the rows that hold the whole line.
     """
 
     def __init__(self, ctx, degree: int):
@@ -163,15 +167,16 @@ class _Engine:
 
     @cached_property
     def line_tables(self):
-        """(line_points, rest_map), built on first use: column l of
-        line_points holds line l's q+1 point indices; rest_map, for d > q
-        only, lifts every line's restriction map."""
+        """(line_points, rest_maps), built on first use: column l of
+        line_points holds line l's q+1 point indices; rest_maps, for d > q
+        only, lifts columns 1 .. d-q of each line's restriction map."""
         pl = plane.get_plane(self.ctx)
-        rest_map = None
-        if self.degree > self.ctx.q:
-            rest = [restriction_map(self.ctx, self.degree, line) for line in pl.lines]
-            rest_map = _lift(self.mul, np.concatenate(rest, axis=1))
-        return np.array(pl.points_on, dtype=np.intp).T, rest_map
+        d, q = self.degree, self.ctx.q
+        rest_maps = None
+        if d > q:
+            rest = (np.asarray(restriction_map(self.ctx, d, line)) for line in pl.lines)
+            rest_maps = [_lift(self.mul, r[:, 1:d - q + 1]) for r in rest]
+        return np.array(pl.points_on, dtype=np.intp).T, rest_maps
 
     def _vanishing(self, coeffs: np.ndarray, lifted: np.ndarray) -> np.ndarray:
         """Entry (r, c): the c-th GF(q) output of row r is zero."""
@@ -189,17 +194,16 @@ class _Engine:
     def linear_flags(self, coeffs: np.ndarray, on: np.ndarray) -> np.ndarray:
         """True where the curve has an F_q-linear component; on is the
         membership matrix from counts."""
-        line_points, rest_map = self.line_tables
+        line_points, rest_maps = self.line_tables
         full = on[:, line_points[0]]  # entry (r, l): line l lies on curve r so far
         for col in line_points[1:]:
             full &= on[:, col]
-        flags = full.any(axis=1)
-        if rest_map is None:  # d <= q: the point test is exact
-            return flags
-        cand = np.nonzero(flags)[0]
-        zero = self._vanishing(coeffs[cand], rest_map)
-        zero = zero.reshape(len(cand), line_points.shape[1], self.degree + 1)
-        flags[cand] = zero.all(axis=2).any(axis=1)
+        if rest_maps is None:  # d <= q: the point test is exact
+            return full.any(axis=1)
+        flags = np.zeros(coeffs.shape[0], dtype=bool)
+        for li, rest in enumerate(rest_maps):
+            rows = np.nonzero(full[:, li] & ~flags)[0]
+            flags[rows] = self._vanishing(coeffs[rows], rest).all(axis=1)
         return flags
 
 

@@ -1,9 +1,9 @@
 """Property tests of the dense linear algebra in ``linalg``.
 
-``mat_inv`` and ``nullspace`` share one Gauss-Jordan reduction.  They are
-checked against a cofactor determinant, against the definition of the
-kernel and, over small fields, against brute-force enumeration of every
-vector.  Fields are prime and extension fields, a tower, two untabled
+``mat_inv`` and ``nullspace`` share one Gauss-Jordan reduction.  They and
+the closed-form ``det3`` are checked against a cofactor determinant,
+against the definition of the kernel and, over small fields, against
+brute-force enumeration of every vector.  Fields are prime and extension fields, a tower, two untabled
 fields and the rationals context of the step-3 system.  Example counts are
 fixed and derandomized so the suite replays exactly.
 """
@@ -66,9 +66,9 @@ def _det(ctx, m):
 
 
 @st.composite
-def square_matrices(draw):
+def square_matrices(draw, n=None):
     name = draw(st.sampled_from(sorted(FIELDS)))
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4)) if n is None else n
     return name, _matrix(draw, name, n, n)
 
 
@@ -91,6 +91,16 @@ def test_inverse_exists_exactly_when_the_determinant_is_nonzero(case):
     else:
         assert inv is not None
         assert linalg.mat_mul(ctx, m, inv) == linalg.identity(len(m))
+
+
+@PROPERTY_SETTINGS
+@given(square_matrices(3))
+def test_det3_vanishes_exactly_when_there_is_no_inverse(case):
+    name, m = case
+    ctx = _field(name)
+    det = linalg.det3(ctx, m)
+    assert det == _det(ctx, m)
+    assert (det == 0) == (linalg.mat_inv(ctx, m) is None)
 
 
 @PROPERTY_SETTINGS

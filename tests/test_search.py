@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import random
 import threading
@@ -8,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from planecurves import analysis, plane, search
+from planecurves import analysis, linalg, plane, search
 from planecurves.curve import PlaneCurve, curve_mul, has_linear_component, monomials
 from planecurves.field import ExtensionField, FiniteField
 from planecurves.search import (
@@ -197,7 +198,8 @@ def _check_engine_rows(ctx, d, engine, batch):
 
 
 # (q, d) on both sides of d <= q, where the incidence test alone decides
-# the linear component; for d >= q+1 candidates are restricted to lines.
+# the linear component; for d >= q+1 each row that holds a whole line is
+# also tested on that line's restriction coefficients g_1 .. g_(d-q).
 ENGINE_CASES = ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 3), (4, 5), (5, 3),
                 (5, 6), (7, 3), (8, 3), (9, 3), (16, 3), (25, 2), (27, 3))
 
@@ -236,6 +238,87 @@ def test_engine_batches_without_candidates():
     assert not _check_engine_rows(ctx, 4, engine, batch).any()
     counts, on = engine.counts(batch[:0])
     assert counts.shape == (0,) and engine.linear_flags(batch[:0], on).shape == (0,)
+
+
+@pytest.mark.parametrize("q,d", [(q, d) for q in (2, 3, 4, 5) for d in range(q + 1, q + 4)])
+def test_vanishing_binary_forms_are_fixed_by_their_low_coefficients(q, d):
+    """The lemma behind the d > q filter, by brute force over field
+    operations alone.  A binary form g = sum g_i s^(d-i) t^i that vanishes
+    at (1:0) and (0:1) has g_0 = g_d = 0, so the q^(d-1) <= 5^7 forms with
+    those two coefficients zero hold every form vanishing on P^1(F_q).
+    Exactly q^(d-q) of them vanish at every (s:1), and only the zero form
+    among them has g_1 = ... = g_(d-q) = 0."""
+    ctx = field_for(q)
+    powers = []  # for each s != 0, the list s^(d-i) for i = 0 .. d
+    for s in range(1, q):
+        pw = [1]
+        for _ in range(d):
+            pw.append(ctx.mul(pw[-1], s))
+        powers.append(pw[::-1])
+
+    def value(g, pw):
+        acc = 0
+        for c, w in zip(g, pw):
+            if c:
+                acc = ctx.add(acc, ctx.mul(c, w))
+        return acc
+
+    vanishing = [g for g in ((0, *inner, 0) for inner in itertools.product(range(q), repeat=d - 1))
+                 if all(value(g, pw) == 0 for pw in powers)]
+    assert len(vanishing) == q ** (d - q)
+    assert [g for g in vanishing if not any(g[1:d - q + 1])] == [(0,) * (d + 1)]
+
+
+def _curve_restricting_to(ctx, d, line, g, rng):
+    """g(X, Y) + Z * H(X, Y, Z), H random, moved so that its restriction to
+    the line, parametrized by (a, b) = plane.span, is the binary form g."""
+    a, b = plane.span(ctx, line)
+    c = next(pt for pt in plane.enumerate_points(ctx) if linalg.det3(ctx, (a, b, pt)))
+    z_part = curve_mul(PlaneCurve(ctx, 1, {(0, 0, 1): 1}), random_curve(ctx, d - 1, rng))
+    terms = {**{(d - i, i, 0): gi for i, gi in enumerate(g) if gi}, **z_part.terms}
+    # F(P) = F'(M^-1 P), M with columns a, b, c, so F(s a + t b) = F'(s, t, 0)
+    cur = PlaneCurve(ctx, d, terms).transform(linalg.mat_inv(ctx, tuple(zip(a, b, c))))
+    assert cur.restrict(a, b).coeffs == tuple(g)
+    return cur
+
+
+def _random_binary(ctx, degree, rng, free):
+    """A nonzero binary form of the given degree, zero outside positions free."""
+    while True:
+        g = [rng.randrange(ctx.q) if i in free else 0 for i in range(degree + 1)]
+        if any(g):
+            return g
+
+
+@pytest.mark.parametrize("q,d", [(q, d) for q in (2, 3, 4, 5) for d in (q + 1, q + 2)])
+def test_linear_flags_match_the_oracle_on_adversarial_rows(q, d):
+    """d > q, row by row against has_linear_component: (a) planted factors
+    L * G; (b) curves through every point of a line they do not contain,
+    restricting to (s^q t - s t^q) * M there, M = t^(d-q-1) among them so
+    g_1 .. g_(d-q-1) vanish too; (c) curves whose g_1 .. g_(d-q) vanish on
+    a line that is not wholly on them."""
+    ctx = field_for(q)
+    rng = random.Random(q * 100 + d)
+    lines = plane.get_plane(ctx).lines
+    curves = []
+    for kind in "bbbbbccccc":
+        line = rng.choice(lines)
+        if kind == "b":
+            cofactor = [0] * (d - q - 1) + [1] if not curves else _random_binary(
+                ctx, d - q - 1, rng, range(d - q))
+            g = [0] * (d + 1)
+            for j, mj in enumerate(cofactor):  # s^q t * M - s t^q * M
+                g[j + 1] = ctx.add(g[j + 1], mj)
+                g[j + q] = ctx.sub(g[j + q], mj)
+            cur = _curve_restricting_to(ctx, d, line, g, rng)
+            assert all(cur.evaluate(pt) == 0 for pt in plane.get_plane(ctx).points_on_line(line))
+        else:
+            g = _random_binary(ctx, d, rng, [0, *range(d - q + 1, d + 1)])
+            cur = _curve_restricting_to(ctx, d, line, g, rng)
+        curves.append([cur.terms.get(m, 0) for m in monomials(d)])
+    batch = np.vstack([_rows_with_linear_factor(ctx, d, 4, rng), np.array(curves, dtype=np.uint8)])
+    flags = _check_engine_rows(ctx, d, _Engine(ctx, d), batch)
+    assert flags[:4].all()
 
 
 def test_combine_basis_matches_elementwise_sum():
@@ -301,8 +384,8 @@ PINNED_CONSTRAINED_GF9 = {
 
 # Two filtered random searches recorded while the filter still multiplied
 # the membership matrix by a dense point-line incidence matrix: GF(3)
-# quartics (d > q, so candidates are restricted to every line) and GF(16)
-# cubics.
+# quartics (d > q, so the filter also tests restriction coefficients) and
+# GF(16) cubics.
 PINNED_RANDOM_GF3_QUARTICS = {
     "q": 3, "degree": 4, "mode": "random", "seed": 31, "generator": "numpy-pcg64",
     "curves_examined": 1917, "discarded_linear": 83, "discarded_zero": 0,
