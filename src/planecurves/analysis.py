@@ -149,7 +149,7 @@ def certificate_budget(d: int) -> int:
 
 
 def is_geometrically_nonsingular(
-    curve: PlaneCurve, m_budget: int, enum_cap: int = 10 ** 6, rational=None
+    curve: PlaneCurve, m_budget: int, rational=None
 ) -> NonsingularityVerdict:
     """Nonsingularity over the algebraic closure, reported against a budget.
 
@@ -162,7 +162,7 @@ def is_geometrically_nonsingular(
     """
     if m_budget < 1:
         raise ValueError("m_budget must be >= 1")
-    result = locus.decide_singular_locus(curve, enum_cap=enum_cap, rational=rational)
+    result = locus.decide_singular_locus(curve, rational=rational)
     needed = certificate_budget(curve.degree)
     if result.empty:
         if m_budget >= needed:

@@ -228,25 +228,13 @@ def projective_equivalent(
         (a, b, c) for a in range(q) for b in range(q) for c in range(q)
     ][1:]
     for row1 in plane.enumerate_points(ctx):
-        span1 = set()
-        for s in range(q):
-            span1.add(tuple(ctx.mul(s, c) for c in row1))
         for row2 in all_rows:
-            if row2 in span1:
+            if plane.cross(ctx, row1, row2) == (0, 0, 0):
                 continue
-            span2 = set()
-            for s1 in range(q):
-                r1 = tuple(ctx.mul(s1, c) for c in row1)
-                for s2 in range(q):
-                    span2.add(
-                        tuple(
-                            ctx.add(a, ctx.mul(s2, b)) for a, b in zip(r1, row2)
-                        )
-                    )
             for row3 in all_rows:
-                if row3 in span2:
-                    continue
                 mat = (row1, row2, row3)
+                if linalg.det3(ctx, mat) == 0:
+                    continue
                 if curve_f.transform(mat).canonical().terms == target.terms:
                     return mat
     return None

@@ -144,16 +144,12 @@ class PlaneCurve:
                 mult = e % p
                 if mult == 0:
                     continue
-                # codes below p are the prime-field elements in every context
-                scaled = ctx.mul(mult, c)
                 new = list(exps)
                 new[axis] = e - 1
-                key = tuple(new)
-                acc = ctx.add(terms.get(key, 0), scaled)
-                if acc:
-                    terms[key] = acc
-                else:
-                    terms.pop(key, None)
+                # lowering one exponent is one-to-one, so no two terms meet;
+                # mult, a code below p, is a nonzero prime-field element in
+                # every context, so the term stays nonzero
+                terms[tuple(new)] = ctx.mul(mult, c)
             outs.append(
                 PlaneCurve(ctx, self.degree - 1, terms) if terms else None
             )
@@ -174,10 +170,7 @@ class PlaneCurve:
         ctx = self.ctx
         if not linalg.det3(ctx, matrix):
             raise ValueError("transform needs an invertible matrix")
-        acc = _substitute(self, matrix)
-        if not acc:
-            raise ValueError("transform produced zero (matrix not invertible?)")
-        return PlaneCurve(ctx, self.degree, acc)
+        return PlaneCurve(ctx, self.degree, _substitute(self, matrix))
 
     # serialization -----------------------------------------------------------
 

@@ -24,11 +24,17 @@ The ring is a _FieldOps context with its own inversion, so unipoly's
 gcd, division and powering serve polynomials over it unchanged, and
 unipoly.least_root_degree gives the least degree of a point over it.
 
+The decision starts from the rational scan and decomposes only when that
+scan finds no rational singular point.  Every V(system) in the recursion
+lies inside the singular locus (a gcd d of a and b has d | a and d | b),
+so no branch contains a rational point: a one-dimensional branch scans
+from GF(q^2) up, and a line restriction never needs its point at s = 0.
+
 Each branch returns the least extension degree of a point it finds, or
 None, and _decompose also returns whether that degree is exact.  It is
-exact unless a one-dimensional branch hit the enumeration cap and fell
-back to slicing by the coordinate lines.  A branch stops at the first
-degree that nothing left in it can undercut.
+exact unless a one-dimensional branch hit the enumeration cap _ENUM_CAP
+and fell back to slicing by the coordinate lines.  A branch stops at the
+first degree that nothing left in it can undercut.
 
 Plain point enumeration over GF(q^m) is also provided; it is the oracle
 the exact path is tested against at small sizes.
@@ -42,6 +48,9 @@ from typing import Optional
 from . import plane, unipoly
 from .curve import PlaneCurve, exact_divide, lift_curve, singular_rational_points
 from .field import _FieldOps
+
+# a one-dimensional branch enumerates GF(q^m)-points while q^(2m) <= this
+_ENUM_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -153,13 +162,9 @@ def _bi_primitive(ctx, coeffs):
 
 def _bi_pseudo_rem(ctx, f, g):
     """Pseudo remainder of f by g in (GF[x])[y]."""
-    f = [list(p) for p in f]
     dg = len(g) - 1
     lead = g[-1]
-    while len(f) - 1 >= dg and any(f):
-        if not f[-1]:
-            f.pop()
-            continue
+    while len(f) - 1 >= dg:
         top = f[-1]
         shift = len(f) - 1 - dg
         f = [unipoly.mul(ctx, p, lead) for p in f]
@@ -171,30 +176,20 @@ def _bi_pseudo_rem(ctx, f, g):
 
 
 def _bi_gcd(ctx, f, g):
-    """Primitive-part Euclidean gcd in (GF[x])[y]."""
-    f = [list(p) for p in f]
-    g = [list(p) for p in g]
-    while f and not f[-1]:
-        f.pop()
-    while g and not g[-1]:
-        g.pop()
-    if not f:
-        return g
-    if not g:
-        return f
+    """Primitive-part Euclidean gcd in (GF[x])[y]; last entries nonzero."""
     cf, cg = unipoly.gcd_all(ctx, f), unipoly.gcd_all(ctx, g)
     f, g = _bi_primitive(ctx, f), _bi_primitive(ctx, g)
     while True:
         if len(g) == 1:
             # gcd of primitive parts is a content-level question now
-            pp = [[1]] if any(g) else f
+            pp = [[1]]
             break
         r = _bi_pseudo_rem(ctx, f, g)
         if not any(r):
             pp = g
             break
         f, g = g, _bi_primitive(ctx, r)
-    cont = unipoly.gcd(ctx, cf, cg) if cf and cg else []
+    cont = unipoly.gcd(ctx, cf, cg)
     if unipoly.deg(cont) >= 1:
         return [unipoly.mul(ctx, p, cont) for p in pp]
     return pp
@@ -227,20 +222,11 @@ def _least(*degrees):
 
 def _restrict_line_case(ctx, system, line):
     """Least degree of a point of V(system) on one rational line, or None."""
+    # dehomogenizing drops (s:t) = (0:1), the rational point q_pt, which
+    # V(system) does not contain
     p_pt, q_pt = plane.span(ctx, line)
-    dehoms = []
-    infinity_root = True  # does (s:t) = (0:1) satisfy every member?
-    for member in system:
-        form = member.restrict(p_pt, q_pt)
-        if form.is_zero():
-            continue
-        if form.coeffs[form.degree] != 0:
-            infinity_root = False
-        dehoms.append(form.dehomogenized())
-    if infinity_root:
-        # a rational common root, or the whole line lies in the locus
-        return 1
-    g = unipoly.gcd_all(ctx, dehoms)
+    forms = [member.restrict(p_pt, q_pt) for member in system]
+    g = unipoly.gcd_all(ctx, [form.dehomogenized() for form in forms if not form.is_zero()])
     if unipoly.deg(g) == 0:
         return None
     return unipoly.least_root_degree(ctx, g, ctx.q)
@@ -336,14 +322,11 @@ def _ring_candidates(ctx, chart_all, u, e):
     return e * unipoly.least_root_degree(ring, g, ctx.q ** e)
 
 
-def _curve_min_degree(ctx, cur, enum_cap):
+def _curve_min_degree(ctx, cur):
     """(least degree, exact) for a one-dimensional branch: every point of
-    the curve V(cur) is in the locus."""
-    for point in plane.enumerate_points(ctx):
-        if cur.evaluate(point) == 0:
-            return 1, True
+    the curve V(cur) is in the locus, so none is rational."""
     m = 2
-    while (ctx.q ** m) ** 2 <= enum_cap:
+    while (ctx.q ** m) ** 2 <= _ENUM_CAP:
         ext = ctx.extension(m)
         lifted = lift_curve(cur, ext)
         for point in plane.enumerate_points(ext):
@@ -359,12 +342,12 @@ def _curve_min_degree(ctx, cur, enum_cap):
     return best, False
 
 
-def _decompose(ctx, system, enum_cap):
+def _decompose(ctx, system):
     """(least degree of a point of V(system) or None, whether it is exact)."""
     if any(f.degree == 0 for f in system):
         return None, True
     if len(system) == 1:
-        return _curve_min_degree(ctx, system[0], enum_cap)
+        return _curve_min_degree(ctx, system[0])
     linear = next((f for f in system if f.degree == 1), None)
     if linear is not None:
         line = _linear_to_triple(ctx, linear.terms)
@@ -374,9 +357,9 @@ def _decompose(ctx, system, enum_cap):
     rest = [f for f in system if f is not a and f is not b]
     d = tri_gcd(a, b)
     if d.degree >= 1:
-        first, first_exact = _decompose(ctx, [d] + rest, enum_cap)
+        first, first_exact = _decompose(ctx, [d] + rest)
         second, second_exact = _decompose(
-            ctx, [exact_divide(a, d), exact_divide(b, d)] + rest, enum_cap)
+            ctx, [exact_divide(a, d), exact_divide(b, d)] + rest)
         return _least(first, second), first_exact and second_exact
     # coprime pair: finitely many common zeros
     return _least(_restrict_line_case(ctx, system, (1, 0, 0)),
@@ -390,7 +373,7 @@ def _linear_to_triple(ctx, terms):
     return plane.normalize(ctx, (a, b, c))
 
 
-def decide_singular_locus(curve: PlaneCurve, enum_cap: int = 10 ** 6, rational=None) -> LocusResult:
+def decide_singular_locus(curve: PlaneCurve, rational=None) -> LocusResult:
     """Exact emptiness / minimal-degree decision for the singular locus;
     ``rational`` is singular_rational_points(curve), when already known."""
     ctx = curve.ctx
@@ -399,7 +382,7 @@ def decide_singular_locus(curve: PlaneCurve, enum_cap: int = 10 ** 6, rational=N
     rational = singular_rational_points(curve) if rational is None else rational
     if rational:
         return LocusResult(False, 1, True, rational[0])
-    best, exact = _decompose(ctx, system, enum_cap)
+    best, exact = _decompose(ctx, system)
     if best is None:
         return LocusResult(True)
     if best == 1:

@@ -342,7 +342,8 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchRecord:
         params={
             "n_samples": task.n_samples,
             "require_no_linear_component": task.require_no_linear_component,
-            "singular_at": plane.point_to_string(task.singular_at) if task.singular_at else None,
+            "singular_at": (plane.point_to_string(plane.normalize(ctx, task.singular_at))
+                            if task.singular_at else None),
             "budget": task.budget,
         },
     )

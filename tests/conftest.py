@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from planecurves.curve import PlaneCurve, monomials
+from planecurves.curve import PlaneCurve, curve_mul, monomials
 from planecurves.field import ExtensionField, FiniteField
 
 FIELD_PARAMS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1),
@@ -22,6 +22,15 @@ def random_curve(ctx, degree: int, rng: random.Random) -> PlaneCurve:
         terms = {m: c for m, c in terms.items() if c}
         if terms:
             return PlaneCurve(ctx, degree, terms)
+
+
+def squared_point_free_cubic() -> PlaneCurve:
+    """The square of a GF(2) cubic without GF(2)-points: singular along the
+    cubic, whose points of least degree lie over GF(8)."""
+    cubic = PlaneCurve(field_for(2), 3, {m: 1 for m in [(0, 0, 3), (0, 2, 1), (0, 3, 0),
+                                                        (1, 1, 1), (2, 0, 1), (2, 1, 0),
+                                                        (3, 0, 0)]})
+    return curve_mul(cubic, cubic)
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from planecurves.field import FiniteField
 from planecurves.locus import singular_points_over_extension
 from planecurves.search import random_singular_instances
 
-from conftest import field_for, random_curve
+from conftest import field_for, random_curve, squared_point_free_cubic
 
 
 def test_count_quartic(gf4):
@@ -70,18 +70,21 @@ def test_nonsingularity_verdicts(gf4, gf5):
     assert v.status == "inconclusive" and not v.certified
 
 
-def test_verdict_says_when_witness_degree_may_not_be_minimal():
-    F2 = field_for(2)
-    # a cubic without GF(2)-points; its square is singular along it
-    cubic = PlaneCurve(F2, 3, {m: 1 for m in [(0, 0, 3), (0, 2, 1), (0, 3, 0), (1, 1, 1),
-                                              (2, 0, 1), (2, 1, 0), (3, 0, 0)]})
-    square = curve_mul(cubic, cubic)
-    capped = analysis.is_geometrically_nonsingular(square, 9, enum_cap=1)
+def test_verdict_says_when_witness_degree_may_not_be_minimal(monkeypatch):
+    square = squared_point_free_cubic()
+    full = analysis.is_geometrically_nonsingular(square, 9)
+    assert (full.witness_degree, full.witness_degree_exact) == (3, True)
+    monkeypatch.setattr(locus, "_ENUM_CAP", 1)
+    capped = analysis.is_geometrically_nonsingular(square, 9)
     assert (capped.status, capped.certified, capped.witness_degree) == ("singular", True, 3)
     assert capped.witness_degree_exact is False
     assert capped.to_json_dict()["witness_degree_exact"] is False
-    full = analysis.is_geometrically_nonsingular(square, 9)
-    assert (full.witness_degree, full.witness_degree_exact) == (3, True)
+
+
+def test_singular_beyond_the_budget_is_inconclusive():
+    """The least singular degree, 3, exceeds the budget 2: no verdict."""
+    v = analysis.is_geometrically_nonsingular(squared_point_free_cubic(), 2)
+    assert (v.status, v.certified, v.witness_degree) == ("inconclusive", False, None)
 
 
 def test_deg_q_plus_1_nonsingular_within_budget():

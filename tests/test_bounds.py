@@ -157,6 +157,15 @@ def test_projective_equivalent_round_trip():
     assert cur.transform(witness).scalar_equal(moved)
 
 
+def test_projective_equivalent_finds_no_witness_for_inequivalent_curves():
+    """A double line and a pair of lines share a degree but no class."""
+    F2 = field_for(2)
+    double_line = PlaneCurve(F2, 2, {(2, 0, 0): 1})
+    line_pair = PlaneCurve(F2, 2, {(1, 1, 0): 1})
+    assert bounds.projective_equivalent(double_line, line_pair) is None
+    assert bounds.projective_equivalent(line_pair, double_line) is None
+
+
 def test_projective_equivalent_budget():
     F9 = field_for(9)
     a = PlaneCurve(F9, 2, {(2, 0, 0): 1})

@@ -342,6 +342,62 @@ def test_lemma_check_pass_and_gate(capsys):
     assert "linear component" in payload["checks"]["tangency_bound"]["reason"]
 
 
+@pytest.mark.parametrize("field,inline,reason", [
+    ("p=5,k=1", "0 2 1 1; 3 0 0 4", "rational singular point"),
+    ("p=2,k=1", "3 1 0 1; 0 3 1 1; 1 0 3 1", "degree exceeds q+1"),
+], ids=["cusp", "klein-quartic"])
+def test_lemma_check_names_why_the_tangency_bound_is_gated(capsys, field, inline, reason):
+    code, out, _ = run_cli(capsys, "lemma-check", "--field", field, "--inline", inline,
+                           "--no-timestamp")
+    assert code == 0
+    gate = json.loads(out)["checks"]["tangency_bound"]
+    assert gate == {"applicable": False, "reason": reason}
+
+
+def test_text_format_prints_one_key_per_line(capsys):
+    code, out, _ = run_cli(capsys, "field-info", "--field", "p=2,k=1", "--format", "text")
+    assert code == 0
+    assert out == "p: 2\nk: 1\nq: 2\nmodulus: [0, 1]\nspec: p=2 k=1 mod=0,1\n"
+
+
+def test_csv_refused_by_a_command_without_a_csv_form(capsys):
+    code, out, err = run_cli(capsys, "verify-catalog", "--q", "2", "--format", "csv")
+    assert (code, out, err) == (1, "", "error: this subcommand has no CSV form\n")
+
+
+@pytest.mark.parametrize("other,equivalent", [("0 2 0 1", True), ("1 1 0 1", False)],
+                         ids=["double-lines", "double-line-vs-line-pair"])
+def test_equiv_brute_force_method(capsys, other, equivalent):
+    code, out, _ = run_cli(
+        capsys, "equiv", "--field", "p=2,k=1", "--inline", "2 0 0 1", "--other-inline", other,
+        "--method", "brute", "--no-timestamp",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "brute" and payload["equivalent"] is equivalent
+    assert (payload["witness"] is not None) is equivalent
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("count", "--inline", "0 0 1 1"), "--inline needs --field"),
+    (("field-info", "--field", "p=2,q=3"), "unknown field spec key 'q'"),
+    (("field-info", "--field", "p=2,x"), "bad field spec fragment 'x'"),
+    (("catalog", "--emit", "deg_q"), "--emit needs --field"),
+    (("field-info", "--field", "p=2,k=0"), "extension degree k = 0 must be >= 1"),
+], ids=["inline-without-field", "field-unknown-key", "field-bad-fragment",
+        "emit-without-field", "field-k-zero"])
+def test_usage_errors_are_one_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_field_flag_must_match_the_curve_file(capsys, tmp_path):
+    path = tmp_path / "line.curve"
+    path.write_text("p=2 k=1 mod=0,1\nd=1\n1 0 0 1\n")
+    code, out, err = run_cli(capsys, "count", "--curve", str(path), "--field", "p=3,k=1")
+    assert (code, out, err) == (1, "", "error: --field disagrees with the curve file header\n")
+
+
 def test_json_byte_stable_with_no_timestamp(capsys):
     args = ("count", "--field", "p=2,k=2", "--catalog", "exceptional_quartic",
             "--no-timestamp")

@@ -4,14 +4,14 @@ import pytest
 
 from planecurves import locus
 from planecurves.catalog import catalog_curve, exceptional_quartic
-from planecurves.curve import PlaneCurve, curve_mul, monomials
+from planecurves.curve import PlaneCurve, curve_mul, monomials, rational_points
 from planecurves.locus import (
     decide_singular_locus,
     singular_points_over_extension,
     tri_gcd,
 )
 
-from conftest import field_for, random_curve
+from conftest import field_for, random_curve, squared_point_free_cubic
 
 
 def test_quartic_locus_empty(gf4):
@@ -55,17 +55,34 @@ def _sparse_curve(ctx, degree: int, rng: random.Random) -> PlaneCurve:
     return PlaneCurve(ctx, degree, {m: rng.randrange(1, ctx.q) for m in monos})
 
 
+def _point_free_squares(seed: int, count: int) -> list[PlaneCurve]:
+    """Squares of random cubics without rational points over GF(2) and
+    GF(3): each is singular along a curve, the one-dimensional branch."""
+    rng = random.Random(seed)
+    out = []
+    for q in (2, 3):
+        found = 0
+        while found < count:
+            cubic = random_curve(field_for(q), 3, rng)
+            if not rational_points(cubic):
+                out.append(curve_mul(cubic, cubic))
+                found += 1
+    return out
+
+
 def test_oracle_cross_check_small_random():
     """Exact decision vs plain enumeration over GF(q), GF(q^2), GF(q^3).
 
     Dense curves mostly meet coprime pairs; sparse ones also reach linear
-    members and shared factors of F and its partials."""
+    members and shared factors of F and its partials; squares of
+    point-free curves reach the one-dimensional branch."""
     curves = []
     for make, seed, count in ((random_curve, 71, 80), (_sparse_curve, 74, 120)):
         rng = random.Random(seed)
         for _ in range(count):
             q = rng.choice([2, 3])
             curves.append(make(field_for(q), rng.choice([2, 3, 4]), rng))
+    curves += _point_free_squares(76, 4)
     for cur in curves:
         res = decide_singular_locus(cur)
         found = {}
@@ -79,6 +96,25 @@ def test_oracle_cross_check_small_random():
             assert not any(found[m] for m in range(1, res.min_degree))
         else:
             assert not any(found.values())
+
+
+def test_one_dimensional_branch_scans_no_rational_points(monkeypatch):
+    """The decomposition runs only after the rational scan found nothing, so
+    the branch along a point-free cubic evaluates nothing over GF(2) again:
+    the q^2 + q + 1 base-field evaluations are the scan's own."""
+    F2 = field_for(2)
+    base_points = []
+    evaluate = PlaneCurve.evaluate
+
+    def counting(self, point):
+        if self.ctx == F2:
+            base_points.append(point)
+        return evaluate(self, point)
+
+    monkeypatch.setattr(PlaneCurve, "evaluate", counting)
+    res = decide_singular_locus(squared_point_free_cubic())
+    assert (res.empty, res.min_degree, res.exact_min) == (False, 3, True)
+    assert len(base_points) == 2 * 2 + 2 + 1
 
 
 def test_quotient_ring_inversion_splits_on_zero_divisor():

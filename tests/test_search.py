@@ -487,6 +487,16 @@ def test_constrained_random_mode_matches_instances():
     assert record.best_N <= (4 - 1) * 5
 
 
+def test_record_stores_the_normalized_singular_point():
+    """(0:0:2) and (0:0:1) are one point and give the same draws, so one
+    record, which replays through --singular-at 0:0:1."""
+    records = [run_search(SearchTask(ctx=field_for(3), degree=3, mode="constrained_random",
+                                     seed=1, n_samples=50, singular_at=point)).to_json_dict()
+               for point in ((0, 0, 2), (0, 0, 1))]
+    assert records[0]["params"]["singular_at"] == "0:0:1"
+    assert records[0] == records[1]
+
+
 def _gf8_cubic_task(**kwargs):
     """The random GF(8) d=3 search whose 64 witnesses the memory tests keep."""
     return SearchTask(ctx=field_for(8), degree=3, mode="random", seed=11, n_samples=4096,
