@@ -119,22 +119,22 @@ def _substituted_unipoly(curve: PlaneCurve, alpha: int) -> list[int]:
 
 @dataclass(frozen=True)
 class NonsingularityVerdict:
-    """Outcome of the geometric nonsingularity check."""
+    """The singular-locus decision over the algebraic closure, as a verdict.
 
-    status: str  # "nonsingular" | "singular" | "inconclusive"
-    certified: bool
-    m_budget: int
+    status is "nonsingular" or "singular"; a singular verdict carries the
+    least extension degree of a singular point, a rational one when there
+    is one, and whether that degree is known to be the least.
+    """
+
+    status: str
     witness_degree: Optional[int] = None
     witness_point: Optional[tuple] = None
-    # whether witness_degree is the least degree of a singular point; False
-    # on the capped fallback for a locus containing a curve (exact_min)
+    # False only on the capped fallback for a locus containing a curve
     witness_degree_exact: Optional[bool] = None
 
     def to_json_dict(self) -> dict:
         return {
             "status": self.status,
-            "certified": self.certified,
-            "m_budget": self.m_budget,
             "witness_degree": self.witness_degree,
             "witness_degree_exact": self.witness_degree_exact,
             "witness_point": (
@@ -143,41 +143,26 @@ class NonsingularityVerdict:
         }
 
 
-def certificate_budget(d: int) -> int:
-    """Singular points of a degree-d curve live in degree <= (d-1)^2."""
-    return max(1, (d - 1) ** 2)
-
-
-def is_geometrically_nonsingular(
-    curve: PlaneCurve, m_budget: int, rational=None
-) -> NonsingularityVerdict:
-    """Nonsingularity over the algebraic closure, reported against a budget.
-
-    The verdict is "nonsingular" (with a completeness certificate) when the
-    locus is empty and m_budget >= (d-1)^2, "singular" with the witness
-    extension degree when one exists within the budget (witness_degree_exact
-    says whether it is known to be the least such degree), and
-    "inconclusive" otherwise.  ``rational`` hands known rational singular
-    points on to locus.decide_singular_locus.
+def is_geometrically_nonsingular(curve: PlaneCurve, rational=None) -> NonsingularityVerdict:
+    """Nonsingularity over the algebraic closure: locus.decide_singular_locus
+    as a verdict, "nonsingular" when the locus is empty and otherwise
+    "singular" at its least degree.  ``rational`` hands known rational
+    singular points on to the decision.
     """
-    if m_budget < 1:
-        raise ValueError("m_budget must be >= 1")
+    # No extension-degree budget: the least singular degree is at most
+    # max(1, d(d-1)/2).  A reduced curve of degree d has at most d(d-1)/2
+    # singular points, so a Frobenius orbit of them has degree <= d(d-1)/2;
+    # a non-reduced curve is singular along a component of degree e <= d/2,
+    # which every rational line meets in points of degree <= e.
     result = locus.decide_singular_locus(curve, rational=rational)
-    needed = certificate_budget(curve.degree)
     if result.empty:
-        if m_budget >= needed:
-            return NonsingularityVerdict("nonsingular", True, m_budget)
-        return NonsingularityVerdict("inconclusive", False, m_budget)
-    if result.min_degree is not None and result.min_degree <= m_budget:
-        return NonsingularityVerdict(
-            "singular",
-            True,
-            m_budget,
-            witness_degree=result.min_degree,
-            witness_point=result.witness_rational,
-            witness_degree_exact=result.exact_min,
-        )
-    return NonsingularityVerdict("inconclusive", False, m_budget)
+        return NonsingularityVerdict("nonsingular")
+    return NonsingularityVerdict(
+        "singular",
+        witness_degree=result.min_degree,
+        witness_point=result.witness_rational,
+        witness_degree_exact=result.exact_min,
+    )
 
 
 def tangent_line(curve: PlaneCurve, point) -> tuple:

@@ -107,7 +107,7 @@ def bound_values(q: int, d: int) -> BoundReport:
     return BoundReport(q=q, d=d, values=values)
 
 
-def bound_verdicts(curve: PlaneCurve, m_budget: Optional[int] = None) -> BoundReport:
+def bound_verdicts(curve: PlaneCurve) -> BoundReport:
     """Classify the curve and judge every bound against its point count.
 
     Each verdict carries the bound value, an "applicable" flag derived
@@ -121,10 +121,7 @@ def bound_verdicts(curve: PlaneCurve, m_budget: Optional[int] = None) -> BoundRe
     report = bound_values(q, d)
     counts = analysis.count_points(curve)
     n = counts.N
-    if m_budget is None:
-        m_budget = analysis.certificate_budget(d)
-    nonsing = analysis.is_geometrically_nonsingular(
-        curve, m_budget, rational=counts.rational_singular)
+    nonsing = analysis.is_geometrically_nonsingular(curve, rational=counts.rational_singular)
     no_lin = counts.linear_component is None
     no_rat_sing = not counts.rational_singular
     nonclassical: Optional[bool] = None
@@ -134,7 +131,6 @@ def bound_verdicts(curve: PlaneCurve, m_budget: Optional[int] = None) -> BoundRe
         "has_linear_component": not no_lin,
         "has_rational_singularity": not no_rat_sing,
         "geometrically_nonsingular": nonsing.status,
-        "nonsingularity_certified": nonsing.certified,
         "frobenius_nonclassical": nonclassical,
     }
     conjecture_range = 2 <= d <= q + 1

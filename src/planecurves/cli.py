@@ -41,13 +41,16 @@ def _parse_field_flag(text: str) -> FiniteField:
 
 
 def _parse_catalog_params(entry: str, pieces) -> dict:
-    """Integer parameters of a catalog entry from "name=value" pieces."""
+    """Integer parameters of a catalog entry from "name=value" pieces, each
+    name at most once."""
     params = {}
     for piece in pieces:
         key, eq, val = piece.partition("=")
         if not eq:
             raise ValueError(f"bad catalog parameter {piece!r}")
         key = key.strip()
+        if key in params:
+            raise ValueError(f"{entry} parameter {key!r} given twice")
         try:
             params[key] = int(val)
         except ValueError:
@@ -149,14 +152,11 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("singular", help="rational singular points and the "
                         "geometric nonsingularity verdict")
     _add_curve_source(s)
-    s.add_argument("--m-budget", type=int, default=None,
-                   help="extension-degree budget for certification")
     _add_common(s)
 
     s = subs.add_parser("bounds", help="Sziklai / Segre / Stohr-Voloch / "
                         "Hefez-Voloch / Weil bound table with verdicts")
     _add_curve_source(s)
-    s.add_argument("--m-budget", type=int, default=None)
     _add_common(s)
 
     s = subs.add_parser("frobenius", help="Frobenius nonclassicality test")
@@ -239,9 +239,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_singular(args) -> int:
     cur = _load_curve(args)
-    budget = pc.analysis.certificate_budget(cur.degree) if args.m_budget is None else args.m_budget
     rational = pc.analysis.singular_rational_points(cur)
-    verdict = pc.analysis.is_geometrically_nonsingular(cur, budget, rational=rational)
+    verdict = pc.analysis.is_geometrically_nonsingular(cur, rational=rational)
     payload = {
         "q": cur.ctx.q,
         "d": cur.degree,
@@ -254,7 +253,7 @@ def cmd_singular(args) -> int:
 
 def cmd_bounds(args) -> int:
     cur = _load_curve(args)
-    rep = pc.bounds.bound_verdicts(cur, m_budget=args.m_budget)
+    rep = pc.bounds.bound_verdicts(cur)
     _emit(args, rep.to_json_dict())
     violated = any(
         v["applicable"] and not v["holds"] for v in rep.verdicts.values()

@@ -351,7 +351,7 @@ class FiniteField(_FieldOps):
             p = int(parts["p"])
             k = int(parts.get("k", "1"))
             modulus = None
-            if parts.get("mod"):
+            if "mod" in parts:
                 modulus = [int(c) for c in parts["mod"].split(",")]
         except (KeyError, ValueError) as exc:
             raise ValueError(f"bad field spec {text!r}") from exc

@@ -60,38 +60,89 @@ def test_membership_required_when_char_divides_degree():
 
 def test_nonsingularity_verdicts(gf4, gf5):
     hermitian = PlaneCurve(gf4, 3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
-    v = analysis.is_geometrically_nonsingular(hermitian, 9)
-    assert v.status == "nonsingular" and v.certified and v.witness_degree_exact is None
+    v = analysis.is_geometrically_nonsingular(hermitian)
+    assert v.status == "nonsingular" and v.witness_degree_exact is None
     cusp = PlaneCurve(gf5, 3, {(0, 2, 1): 1, (3, 0, 0): gf5.neg(1)})
-    v = analysis.is_geometrically_nonsingular(cusp, 1)
+    v = analysis.is_geometrically_nonsingular(cusp)
     assert v.status == "singular" and v.witness_degree == 1
-    # small budget on a smooth curve: no certificate
-    v = analysis.is_geometrically_nonsingular(hermitian, 2)
-    assert v.status == "inconclusive" and not v.certified
 
 
 def test_verdict_says_when_witness_degree_may_not_be_minimal(monkeypatch):
     square = squared_point_free_cubic()
-    full = analysis.is_geometrically_nonsingular(square, 9)
+    full = analysis.is_geometrically_nonsingular(square)
     assert (full.witness_degree, full.witness_degree_exact) == (3, True)
     monkeypatch.setattr(locus, "_ENUM_CAP", 1)
-    capped = analysis.is_geometrically_nonsingular(square, 9)
-    assert (capped.status, capped.certified, capped.witness_degree) == ("singular", True, 3)
+    capped = analysis.is_geometrically_nonsingular(square)
+    assert (capped.status, capped.witness_degree) == ("singular", 3)
     assert capped.witness_degree_exact is False
     assert capped.to_json_dict()["witness_degree_exact"] is False
 
 
-def test_singular_beyond_the_budget_is_inconclusive():
-    """The least singular degree, 3, exceeds the budget 2: no verdict."""
-    v = analysis.is_geometrically_nonsingular(squared_point_free_cubic(), 2)
-    assert (v.status, v.certified, v.witness_degree) == ("inconclusive", False, None)
+# Z^5 + Y^2Z^3 + Y^5 + XY^3Z + X^2Z^3 + X^2YZ^2 + X^2Y^3 + X^3YZ + X^5 over
+# GF(2): the product of the five GF(32)-conjugates of one line
+CONJUGATE_LINE_QUINTIC = ("0 0 5 1; 0 2 3 1; 0 5 0 1; 1 3 1 1; 2 0 3 1; 2 1 2 1; "
+                          "2 3 0 1; 3 1 1 1; 5 0 0 1")
+
+
+def test_quintic_singular_only_over_gf32():
+    """Its 10 singular points, where two conjugate lines meet, all lie over
+    GF(32): a least singular degree of 5, found by the elimination branch."""
+    cur = PlaneCurve.parse_inline(field_for(2), CONJUGATE_LINE_QUINTIC)
+    assert analysis.rational_points(cur) == ()
+    res = locus.decide_singular_locus(cur)
+    assert (res.empty, res.min_degree, res.exact_min) == (False, 5, True)
+    found = [len(singular_points_over_extension(cur, m)[0]) for m in range(1, 6)]
+    assert found == [0, 0, 0, 0, 10]
+    v = analysis.is_geometrically_nonsingular(cur)
+    assert (v.status, v.witness_degree, v.witness_degree_exact) == ("singular", 5, True)
+
+
+def _conjugate_line_product(ctx, n: int, rng: random.Random) -> PlaneCurve:
+    """The product of the n Frobenius conjugates of a random line
+    X + bY + cZ over GF(q^n): a curve of degree n over GF(q)."""
+    ext = ctx.extension(n)
+    coeffs = (1, rng.randrange(ext.q), rng.randrange(ext.q))
+    product = None
+    for _ in range(n):
+        line = PlaneCurve(ext, 1, {m: c for m, c in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                                                         coeffs) if c})
+        product = line if product is None else curve_mul(product, line)
+        coeffs = tuple(ext.pow(c, ctx.q) for c in coeffs)
+    return PlaneCurve(ctx, n, product.terms)
+
+
+def test_verdict_is_the_locus_decision():
+    """Over random, forced-singular, conjugate-line and non-reduced curves the
+    verdict is the decision itself: singular exactly when the locus is not
+    empty, at its least degree, which is at most max(1, d(d-1)/2)."""
+    rng = random.Random(31)
+    cases = [random_curve(field_for(q), d, rng)
+             for q in (2, 3, 4, 5, 7, 8, 9) for d in (2, 3, 4, 5) for _ in range(5)]
+    cases += [cur for q, d in ((3, 3), (4, 4), (5, 3), (7, 4))
+              for cur in random_singular_instances(field_for(q), d, (0, 0, 1), 6, seed=q + d)]
+    cases += [_conjugate_line_product(field_for(q), n, rng)
+              for q in (2, 3, 4, 5) for n in (3, 4, 5) for _ in range(2)]
+    for q in (2, 3, 4, 5):
+        for d in (1, 1, 2, 2):
+            base = random_curve(field_for(q), d, rng)
+            cases.append(curve_mul(base, base))
+    singular = 0
+    for cur in cases:
+        d = cur.degree
+        res = locus.decide_singular_locus(cur)
+        v = analysis.is_geometrically_nonsingular(cur)
+        assert v.status == ("nonsingular" if res.empty else "singular")
+        assert v.witness_degree == res.min_degree
+        if not res.empty:
+            assert res.min_degree <= max(1, d * (d - 1) // 2)
+            singular += 1
+    assert singular >= len(cases) // 3
 
 
 def test_deg_q_plus_1_nonsingular_within_budget():
     F3 = field_for(3)
     cur = catalog_curve("deg_q_plus_1", F3)
-    v = analysis.is_geometrically_nonsingular(cur, analysis.certificate_budget(4))
-    assert v.status == "nonsingular" and v.certified
+    assert analysis.is_geometrically_nonsingular(cur).status == "nonsingular"
 
 
 def test_tangent_lines(gf5):
@@ -334,9 +385,8 @@ def test_handed_over_points_give_the_same_results():
         counts = analysis.count_points(cur)
         spec = analysis.line_spectrum(cur, counts.points)
         assert spec == analysis.line_spectrum(cur)
-        m = analysis.certificate_budget(cur.degree)
-        given = analysis.is_geometrically_nonsingular(cur, m, rational=counts.rational_singular)
-        assert given == analysis.is_geometrically_nonsingular(cur, m)
+        given = analysis.is_geometrically_nonsingular(cur, rational=counts.rational_singular)
+        assert given == analysis.is_geometrically_nonsingular(cur)
         singular += bool(counts.rational_singular)
     assert singular >= 6
 

@@ -92,7 +92,7 @@ def test_step3_solution_in_closed_form():
 
 
 def test_verdicts_on_exceptional_quartic(gf4):
-    rep = bounds.bound_verdicts(exceptional_quartic(gf4), m_budget=9)
+    rep = bounds.bound_verdicts(exceptional_quartic(gf4))
     assert rep.N == 14 and rep.exceptional
     assert rep.verdicts["sziklai"]["applicable"]
     assert not rep.verdicts["sziklai"]["holds"]        # 14 > 13

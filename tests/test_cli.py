@@ -1,5 +1,7 @@
 import argparse
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -76,7 +78,7 @@ def test_prime_field_modulus_other_than_t_refused(capsys, tmp_path):
 def test_bounds_exit_code_signals_violation(capsys):
     code, out, _ = run_cli(
         capsys, "bounds", "--field", "p=2,k=2", "--catalog", "exceptional_quartic",
-        "--no-timestamp", "--m-budget", "9",
+        "--no-timestamp",
     )
     assert code == 2  # sziklai is applicable and violated: an anomaly find
     payload = json.loads(out)
@@ -110,15 +112,16 @@ def test_singular_subcommand(capsys):
 
 
 @pytest.mark.parametrize("command", ["singular", "bounds"])
-@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize("budget", ["0", "-1", "4"])
 def test_nonpositive_m_budget_refused(capsys, command, budget):
-    """A budget below 1 is refused, never replaced by the default one."""
+    """The locus decision is exact, so there is no budget to give: --m-budget
+    is an unrecognized argument, whatever its value."""
     code, out, err = run_cli(
         capsys, command, "--field", "p=5,k=1", "--inline", "0 2 1 1; 3 0 0 4",
         "--m-budget", budget, "--no-timestamp",
     )
     assert code == 1 and out == ""
-    assert err == "error: m_budget must be >= 1\n"
+    assert err == f"error: unrecognized arguments: --m-budget {budget}\n"
 
 
 def test_frobenius_subcommand(capsys):
@@ -228,10 +231,15 @@ def test_malformed_catalog_parameter_refused(capsys, argv, message):
      "bad field spec token 'mod=1,1,1'"),
     (("count", "--field", "p=2,k=2", "--inline", "0 0 2 1; 0 0 2 3; 2 0 0 1",
       "--no-timestamp"), "duplicate term (0, 0, 2)"),
-], ids=["field-repeated-p", "field-repeated-k", "field-repeated-mod", "inline-duplicate-term"])
+    (("catalog", "--emit", "deg_q_minus_1", "--field", "p=5", "--param", "alpha=1",
+      "--param", "alpha=2"), "deg_q_minus_1 parameter 'alpha' given twice"),
+    (("count", "--field", "p=5", "--catalog", "deg_q_minus_1:alpha=1,alpha=3",
+      "--no-timestamp"), "deg_q_minus_1 parameter 'alpha' given twice"),
+], ids=["field-repeated-p", "field-repeated-k", "field-repeated-mod", "inline-duplicate-term",
+        "param-repeated", "catalog-flag-repeated"])
 def test_repeated_input_refused(capsys, argv, message):
-    """A repeated --field key or --inline term is refused, never resolved
-    by letting one of the copies win."""
+    """A repeated --field key, --inline term or catalog parameter is
+    refused, never resolved by letting one of the copies win."""
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
@@ -384,11 +392,27 @@ def test_equiv_brute_force_method(capsys, other, equivalent):
     (("field-info", "--field", "p=2,x"), "bad field spec fragment 'x'"),
     (("catalog", "--emit", "deg_q"), "--emit needs --field"),
     (("field-info", "--field", "p=2,k=0"), "extension degree k = 0 must be >= 1"),
+    (("field-info", "--field", "p=2,k=2,mod="), "bad field spec 'p=2 k=2 mod='"),
 ], ids=["inline-without-field", "field-unknown-key", "field-bad-fragment",
-        "emit-without-field", "field-k-zero"])
+        "emit-without-field", "field-k-zero", "field-empty-mod"])
 def test_usage_errors_are_one_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_readme_commands_parse():
+    """Every planecurves line of README's "Command line" block, continuations
+    joined and comments and redirections dropped, is accepted by the parser;
+    none is run."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [line.split("#", 1)[0].split(">", 1)[0].strip()
+             for line in block.replace("\\\n", " ").splitlines()]
+    commands = [line for line in lines if line.startswith("planecurves ")]
+    assert len(commands) >= 10
+    parser = cli.build_parser()
+    for command in commands:
+        parser.parse_args(shlex.split(command)[1:])
 
 
 def test_field_flag_must_match_the_curve_file(capsys, tmp_path):
