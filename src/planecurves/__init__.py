@@ -13,10 +13,10 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines; a submodule is itself public
 _EXPORTS = {
-    "analysis": ("INFINITE", "CountReport", "LineSpectrum", "NonsingularityVerdict",
-                 "count_by_line_sweep", "count_points", "intersection_multiplicity",
-                 "is_frobenius_nonclassical", "is_geometrically_nonsingular",
-                 "line_spectrum", "random_singular_instances", "tangent_line"),
+    "analysis": ("INFINITE", "CountReport", "LineSpectrum", "count_by_line_sweep",
+                 "count_points", "intersection_multiplicity", "is_frobenius_nonclassical",
+                 "is_geometrically_nonsingular", "line_spectrum", "random_singular_instances",
+                 "tangent_line"),
     "bounds": ("BoundReport", "bound_values", "bound_verdicts", "equivalent_by_point_frames",
                "projective_equivalent", "step3_solution"),
     "catalog": ("CATALOG", "catalog_curve", "exceptional_quartic", "verify_catalog"),
@@ -25,7 +25,7 @@ _EXPORTS = {
               "singular_rational_points"),
     "field": ("ExtensionField", "FiniteField"),
     "linalg": (),
-    "locus": ("decide_singular_locus", "singular_points_over_extension"),
+    "locus": ("NonsingularityVerdict", "decide_singular_locus", "singular_points_over_extension"),
     "plane": ("enumerate_lines", "enumerate_points", "incident", "is_arc", "line_through",
               "lines_through_point", "meet", "normalize"),
     "search": ("SearchRecord", "SearchTask", "run_search"),

@@ -117,52 +117,8 @@ def _substituted_unipoly(curve: PlaneCurve, alpha: int) -> list[int]:
     return unipoly.trim(out)
 
 
-@dataclass(frozen=True)
-class NonsingularityVerdict:
-    """The singular-locus decision over the algebraic closure, as a verdict.
-
-    status is "nonsingular" or "singular"; a singular verdict carries the
-    least extension degree of a singular point, a rational one when there
-    is one, and whether that degree is known to be the least.
-    """
-
-    status: str
-    witness_degree: Optional[int] = None
-    witness_point: Optional[tuple] = None
-    # False only on the capped fallback for a locus containing a curve
-    witness_degree_exact: Optional[bool] = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "witness_degree": self.witness_degree,
-            "witness_degree_exact": self.witness_degree_exact,
-            "witness_point": (
-                plane.point_to_string(self.witness_point) if self.witness_point else None
-            ),
-        }
-
-
-def is_geometrically_nonsingular(curve: PlaneCurve, rational=None) -> NonsingularityVerdict:
-    """Nonsingularity over the algebraic closure: locus.decide_singular_locus
-    as a verdict, "nonsingular" when the locus is empty and otherwise
-    "singular" at its least degree.  ``rational`` hands known rational
-    singular points on to the decision.
-    """
-    # No extension-degree budget: the least singular degree is at most
-    # max(1, d(d-1)/2).  A reduced curve of degree d has at most d(d-1)/2
-    # singular points, so a Frobenius orbit of them has degree <= d(d-1)/2;
-    # a non-reduced curve is singular along a component of degree e <= d/2,
-    # which every rational line meets in points of degree <= e.
-    result = locus.decide_singular_locus(curve, rational=rational)
-    if result.empty:
-        return NonsingularityVerdict("nonsingular")
-    return NonsingularityVerdict(
-        "singular",
-        witness_degree=result.min_degree,
-        witness_point=result.witness_rational,
-        witness_degree_exact=result.exact_min,
-    )
+# the locus decision is the verdict itself, under the name the bounds use
+is_geometrically_nonsingular = locus.decide_singular_locus
 
 
 def tangent_line(curve: PlaneCurve, point) -> tuple:

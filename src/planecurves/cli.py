@@ -22,24 +22,6 @@ from . import plane
 from .field import FiniteField
 
 
-def _parse_field_flag(text: str) -> FiniteField:
-    """Parse "p=<p>,k=<k>[,mod=<c0,c1,...>]" (commas inside mod allowed);
-    every key=value token goes on to from_spec, which refuses a repeat."""
-    tokens: list[str] = []
-    for tok in text.split(","):
-        if "=" in tok:
-            key, _, val = tok.partition("=")
-            key = key.strip()
-            if key not in ("p", "k", "mod"):
-                raise ValueError(f"unknown field spec key {key!r}")
-            tokens.append(f"{key}={val}")
-        elif tokens and tokens[-1].startswith("mod="):
-            tokens[-1] += "," + tok
-        else:
-            raise ValueError(f"bad field spec fragment {tok!r}")
-    return FiniteField.from_spec(" ".join(tokens))
-
-
 def _parse_catalog_params(entry: str, pieces) -> dict:
     """Integer parameters of a catalog entry from "name=value" pieces, each
     name at most once."""
@@ -66,25 +48,27 @@ def _parse_catalog_flag(text: str):
         name, params_text.split(",") if params_text else [])
 
 
-def _load_curve(args, flag="--") -> "pc.PlaneCurve":
-    """The curve named by exactly one of {flag}curve, {flag}inline and
-    {flag}catalog; flag is how the error messages spell the options."""
-    sources = [s for s in ("curve", "inline", "catalog") if getattr(args, s, None)]
+def _load_curve(args, prefix="") -> "pc.PlaneCurve":
+    """The curve named by exactly one of --curve, --inline and --catalog (of
+    --other-curve, ... for prefix "other_"), over --field."""
+    flag = "--" + prefix.replace("_", "-")
+    sources = [s for s in ("curve", "inline", "catalog") if getattr(args, prefix + s)]
     if len(sources) != 1:
         raise ValueError(
             f"exactly one of {flag}curve, {flag}inline, {flag}catalog is required")
     source = sources[0]
+    value = getattr(args, prefix + source)
     if source == "curve":
-        cur = pc.PlaneCurve.from_file(args.curve)
-        if args.field and _parse_field_flag(args.field) != cur.ctx:
+        cur = pc.PlaneCurve.from_file(value)
+        if args.field and FiniteField.from_spec(args.field) != cur.ctx:
             raise ValueError("--field disagrees with the curve file header")
         return cur
     if not args.field:
         raise ValueError(f"{flag}{source} needs --field")
-    ctx = _parse_field_flag(args.field)
+    ctx = FiniteField.from_spec(args.field)
     if source == "inline":
-        return pc.PlaneCurve.parse_inline(ctx, args.inline)
-    name, params = _parse_catalog_flag(args.catalog)
+        return pc.PlaneCurve.parse_inline(ctx, value)
+    name, params = _parse_catalog_flag(value)
     return pc.catalog.catalog_curve(name, ctx, **params)
 
 
@@ -211,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_field_info(args) -> int:
-    ctx = _parse_field_flag(args.field)
+    ctx = FiniteField.from_spec(args.field)
     _emit(args, {
         "p": ctx.p,
         "k": ctx.k,
@@ -273,13 +257,7 @@ def cmd_frobenius(args) -> int:
 
 def cmd_equiv(args) -> int:
     cur = _load_curve(args)
-    other_args = argparse.Namespace(
-        field=args.field,
-        curve=args.other_curve,
-        inline=args.other_inline,
-        catalog=args.other_catalog,
-    )
-    other = _load_curve(other_args, flag="--other-")
+    other = _load_curve(args, prefix="other_")
     if args.method == "frames":
         witness = pc.bounds.equivalent_by_point_frames(cur, other)
     else:
@@ -306,7 +284,7 @@ def cmd_catalog(args) -> int:
         return 0
     if not args.field:
         raise ValueError("--emit needs --field")
-    ctx = _parse_field_flag(args.field)
+    ctx = FiniteField.from_spec(args.field)
     cur = pc.catalog.catalog_curve(args.emit, ctx, **_parse_catalog_params(args.emit, args.param))
     sys.stdout.write(cur.to_text())
     return 0
@@ -334,7 +312,7 @@ def cmd_verify_catalog(args) -> int:
 
 
 def cmd_search(args) -> int:
-    ctx = _parse_field_flag(args.field)
+    ctx = FiniteField.from_spec(args.field)
     mode = args.mode.replace("-", "_")
     singular_at = None
     if args.singular_at:
@@ -354,8 +332,7 @@ def cmd_search(args) -> int:
     rows = [("N", "count")] + [(k, v) for k, v in sorted(record.histogram.items())]
     _emit(args, record.to_json_dict(), csv_rows=rows)
     best = record.best_N
-    # a constant (degree 0) is no curve, so no bound applies to it
-    if (args.degree < 1 or not args.require_no_linear_component or best is None
+    if (not args.require_no_linear_component or best is None
             or best <= pc.bounds.bound_values(ctx.q, args.degree).values["sziklai"]):
         return 0
     # above the bound is an anomaly unless every kept witness is the exceptional quartic

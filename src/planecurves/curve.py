@@ -210,6 +210,7 @@ class PlaneCurve:
                 continue
             try:
                 i, j, k = _add_term(terms, line)
+                ctx.check(terms[(i, j, k)])
             except ValueError as exc:
                 raise ValueError(f"line {ln}: {exc}") from None
             if i + j + k != degree:

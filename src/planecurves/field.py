@@ -35,6 +35,7 @@ reproducible across runs without Conway polynomial tables.
 
 from __future__ import annotations
 
+import re
 from typing import Optional, Sequence
 
 from . import unipoly
@@ -340,9 +341,10 @@ class FiniteField(_FieldOps):
 
     @classmethod
     def from_spec(cls, text: str) -> "FiniteField":
-        """Parse "p=<p> k=<k> [mod=<c0,c1,...,ck>]"; mod may be omitted."""
+        """Parse "p=<p> k=<k> [mod=<c0,c1,...,ck>]", keys apart by spaces or by
+        commas (a curve-file header or a --field flag); mod may be omitted."""
         parts: dict[str, str] = {}
-        for tok in text.split():
+        for tok in re.split(r"\s*,\s*(?=\w*=)|\s+", text.strip()):
             key, eq, val = tok.partition("=")
             if not eq or key not in ("p", "k", "mod") or key in parts:
                 raise ValueError(f"bad field spec token {tok!r}")

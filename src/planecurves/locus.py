@@ -54,20 +54,29 @@ _ENUM_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
-class LocusResult:
-    """Outcome of the singular-locus decision.
+class NonsingularityVerdict:
+    """The singular-locus decision over the algebraic closure, as a verdict.
 
-    empty            -- no singular point over any extension field
-    min_degree       -- least extension degree with a singular point
-    exact_min        -- min_degree is the true minimum (False only on the
-                        capped fallback path for one-dimensional loci)
-    witness_rational -- a rational singular point if min_degree == 1
+    status is "nonsingular" or "singular"; a singular verdict carries the
+    least extension degree of a singular point, a rational one when there
+    is one, and whether that degree is known to be the least.
     """
 
-    empty: bool
-    min_degree: Optional[int] = None
-    exact_min: bool = True
-    witness_rational: Optional[tuple[int, int, int]] = None
+    status: str
+    witness_degree: Optional[int] = None
+    witness_point: Optional[tuple] = None
+    # False only on the capped fallback for a locus containing a curve
+    witness_degree_exact: Optional[bool] = None
+
+    def to_json_dict(self) -> dict:
+        return {
+            "status": self.status,
+            "witness_degree": self.witness_degree,
+            "witness_degree_exact": self.witness_degree_exact,
+            "witness_point": (
+                plane.point_to_string(self.witness_point) if self.witness_point else None
+            ),
+        }
 
 
 class _Split(Exception):
@@ -373,22 +382,32 @@ def _linear_to_triple(ctx, terms):
     return plane.normalize(ctx, (a, b, c))
 
 
-def decide_singular_locus(curve: PlaneCurve, rational=None) -> LocusResult:
-    """Exact emptiness / minimal-degree decision for the singular locus;
-    ``rational`` is singular_rational_points(curve), when already known."""
+def decide_singular_locus(curve: PlaneCurve, rational=None) -> NonsingularityVerdict:
+    """Nonsingularity over the algebraic closure: "nonsingular" when the
+    singular locus is empty, otherwise "singular" at its least extension
+    degree.  ``rational`` is singular_rational_points(curve), when already
+    known.
+
+    No extension-degree budget is needed: the least singular degree is at
+    most max(1, d(d-1)/2).  A reduced curve of degree d has at most
+    d(d-1)/2 singular points, so a Frobenius orbit of them has degree
+    <= d(d-1)/2; a non-reduced curve is singular along a component of
+    degree e <= d/2, which every rational line meets in points of degree
+    <= e.
+    """
     ctx = curve.ctx
     system = [curve] + [p for p in curve.partials() if p is not None]
     # cheap first: rational singular points double as degree-1 witnesses
     rational = singular_rational_points(curve) if rational is None else rational
     if rational:
-        return LocusResult(False, 1, True, rational[0])
+        return NonsingularityVerdict("singular", 1, rational[0], True)
     best, exact = _decompose(ctx, system)
     if best is None:
-        return LocusResult(True)
+        return NonsingularityVerdict("nonsingular")
     if best == 1:
         # the decomposition claims a rational witness the scan should have seen
         raise RuntimeError("inconsistent rational-witness bookkeeping")
-    return LocusResult(False, best, exact)
+    return NonsingularityVerdict("singular", best, None, exact)
 
 
 def singular_points_over_extension(curve: PlaneCurve, m: int):

@@ -35,11 +35,6 @@ def enumerate_points(ctx) -> list[Triple]:
     return pts
 
 
-def enumerate_lines(ctx) -> list[Triple]:
-    """All q^2 + q + 1 lines of the dual plane, in the same order."""
-    return enumerate_points(ctx)
-
-
 def incident(ctx, point: Triple, line: Triple) -> bool:
     """True iff the point lies on the line (the dot product vanishes)."""
     acc = 0
@@ -59,17 +54,16 @@ def cross(ctx, a: Triple, b: Triple) -> Triple:
 
 
 def line_through(ctx, p: Triple, q: Triple) -> Triple:
-    """The unique line through two distinct points."""
+    """The unique line through two distinct points (as meet, the point
+    where two distinct lines cross)."""
     if normalize(ctx, p) == normalize(ctx, q):
-        raise ValueError("line_through needs two distinct points")
+        raise ValueError("two distinct points (or lines) are needed")
     return normalize(ctx, cross(ctx, p, q))
 
 
-def meet(ctx, l: Triple, m: Triple) -> Triple:
-    """The unique intersection point of two distinct lines."""
-    if normalize(ctx, l) == normalize(ctx, m):
-        raise ValueError("meet needs two distinct lines")
-    return normalize(ctx, cross(ctx, l, m))
+# P^2 is self-dual: the lines are the points' triples, in the same order
+enumerate_lines = enumerate_points
+meet = line_through
 
 
 def collinear(ctx, p: Triple, q: Triple, r: Triple) -> bool:
@@ -147,7 +141,8 @@ def point_to_string(p: Triple) -> str:
 
 
 def point_from_string(ctx, text: str) -> Triple:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"bad point/line string {text!r}")
-    return normalize(ctx, tuple(int(c) for c in parts))
+    try:
+        x, y, z = (int(c) for c in text.split(":"))
+    except ValueError:
+        raise ValueError(f"bad point/line string {text!r}") from None
+    return normalize(ctx, (x, y, z))

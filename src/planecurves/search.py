@@ -325,8 +325,8 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchRecord:
     q = ctx.q
     if q > _Q_MAX:
         raise ValueError(f"searches need q <= {_Q_MAX} (rows are uint8 codes), got q = {q}")
-    if task.degree < 0:
-        raise ValueError(f"degree must be >= 0, got {task.degree}")
+    if task.degree < 1:
+        raise ValueError(f"degree must be >= 1, got {task.degree}")
     if task.witness_cap < 0:
         raise ValueError(f"witness_cap must be >= 0, got {task.witness_cap}")
     if workers < 1:

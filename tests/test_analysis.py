@@ -89,8 +89,6 @@ def test_quintic_singular_only_over_gf32():
     GF(32): a least singular degree of 5, found by the elimination branch."""
     cur = PlaneCurve.parse_inline(field_for(2), CONJUGATE_LINE_QUINTIC)
     assert analysis.rational_points(cur) == ()
-    res = locus.decide_singular_locus(cur)
-    assert (res.empty, res.min_degree, res.exact_min) == (False, 5, True)
     found = [len(singular_points_over_extension(cur, m)[0]) for m in range(1, 6)]
     assert found == [0, 0, 0, 0, 10]
     v = analysis.is_geometrically_nonsingular(cur)
@@ -112,9 +110,10 @@ def _conjugate_line_product(ctx, n: int, rng: random.Random) -> PlaneCurve:
 
 
 def test_verdict_is_the_locus_decision():
-    """Over random, forced-singular, conjugate-line and non-reduced curves the
-    verdict is the decision itself: singular exactly when the locus is not
-    empty, at its least degree, which is at most max(1, d(d-1)/2)."""
+    """The verdict is the decision itself; over random, forced-singular,
+    conjugate-line and non-reduced curves a singular one comes at a least
+    degree of at most max(1, d(d-1)/2)."""
+    assert analysis.is_geometrically_nonsingular is locus.decide_singular_locus
     rng = random.Random(31)
     cases = [random_curve(field_for(q), d, rng)
              for q in (2, 3, 4, 5, 7, 8, 9) for d in (2, 3, 4, 5) for _ in range(5)]
@@ -129,12 +128,11 @@ def test_verdict_is_the_locus_decision():
     singular = 0
     for cur in cases:
         d = cur.degree
-        res = locus.decide_singular_locus(cur)
-        v = analysis.is_geometrically_nonsingular(cur)
-        assert v.status == ("nonsingular" if res.empty else "singular")
-        assert v.witness_degree == res.min_degree
-        if not res.empty:
-            assert res.min_degree <= max(1, d * (d - 1) // 2)
+        v = locus.decide_singular_locus(cur)
+        assert v.status in ("nonsingular", "singular")
+        assert (v.status == "singular") == (v.witness_degree is not None)
+        if v.status == "singular":
+            assert 1 <= v.witness_degree <= max(1, d * (d - 1) // 2)
             singular += 1
     assert singular >= len(cases) // 3
 
@@ -404,7 +402,7 @@ def test_line_restrictions_build_no_plane(monkeypatch):
     assert analysis.intersection_multiplicity(cur, (1, 2, 3), (1, 0, 2)) is INFINITE
     assert len(restriction_map(ctx, 3, (1, 2, 3))) == 10
     assert analysis.line_spectrum_by_restriction(cur)[8] >= 1
-    assert not locus.decide_singular_locus(cur).empty
+    assert locus.decide_singular_locus(cur).status == "singular"
 
 
 def _line_form(ctx, coeffs):

@@ -9,6 +9,7 @@ from planecurves import cli
 from planecurves.cli import main
 from planecurves.catalog import CATALOG, catalog_curve, exceptional_quartic
 from planecurves.curve import PlaneCurve
+from planecurves.field import FiniteField
 
 from conftest import field_for
 
@@ -60,6 +61,25 @@ def test_field_flag_with_modulus(capsys):
     )
     assert code == 0
     assert json.loads(out)["q"] == 4
+
+
+@pytest.mark.parametrize("comma,space", [
+    ("p=2,k=2", "p=2 k=2"),
+    ("p=2, k=2", "p=2 k=2"),
+    ("p=2,k=2,mod=1,1,1", "p=2 k=2 mod=1,1,1"),
+    ("p=2, k=2, mod=1,1,1", "p=2  k=2 mod=1,1,1"),
+    ("mod=1,0,1,p=3,k=2", "k=2 p=3 mod=1,0,1"),
+    ("p=5", "p=5 k=1"),
+], ids=["bare", "spaced", "mod", "spaced-mod", "mod-first", "prime"])
+def test_comma_and_space_field_specs_agree(capsys, comma, space):
+    """--field and a curve-file header share FiniteField.from_spec, which
+    reads keys apart by commas (spaces after them allowed) or by spaces."""
+    ctx = FiniteField.from_spec(space)
+    assert FiniteField.from_spec(comma) == ctx
+    assert PlaneCurve.from_text(f"{comma}\nd=1\n1 0 0 1\n").ctx == ctx
+    comma_run, space_run = (run_cli(capsys, "field-info", "--field", spec, "--no-timestamp")
+                            for spec in (comma, space))
+    assert comma_run == space_run and comma_run[0] == 0
 
 
 def test_prime_field_modulus_other_than_t_refused(capsys, tmp_path):
@@ -312,7 +332,9 @@ def test_search_random_missing_seed(capsys):
 
 
 @pytest.mark.parametrize("extra,message", [
-    (["--degree", "-1"], "degree must be >= 0"),
+    (["--degree", "-1"], "degree must be >= 1"),
+    (["--degree", "0", "--mode", "random", "--seed", "1", "--samples", "3",
+      "--require-no-linear-component"], "degree must be >= 1"),
     (["--degree", "3", "--mode", "random", "--seed", "1", "--samples", "0"],
      "at least one sample"),
     (["--degree", "2", "--witness-cap", "-1"], "witness_cap must be >= 0"),
@@ -323,8 +345,11 @@ def test_search_random_missing_seed(capsys):
       "--singular-at", "0:0:1"], "singular_at is for constrained_random"),
     (["--degree", "1", "--mode", "constrained-random", "--seed", "1", "--samples", "5",
       "--singular-at", "0:0:1"], "constrained_random needs degree >= 2"),
-], ids=["negative-degree", "no-samples", "negative-witness-cap", "zero-workers",
-        "exhaustive-seed", "exhaustive-samples", "random-singular-at", "constrained-degree-1"])
+    (["--degree", "3", "--mode", "constrained-random", "--seed", "1", "--samples", "5",
+      "--singular-at", "1:2:x"], "bad point/line string '1:2:x'"),
+], ids=["negative-degree", "zero-degree", "no-samples", "negative-witness-cap", "zero-workers",
+        "exhaustive-seed", "exhaustive-samples", "random-singular-at", "constrained-degree-1",
+        "singular-at-not-integer"])
 def test_search_refuses_invalid_parameters(capsys, extra, message):
     code, out, err = run_cli(capsys, "search", "--field", "p=3,k=1", *extra, "--no-timestamp")
     assert code == 1 and out == ""
@@ -388,13 +413,14 @@ def test_equiv_brute_force_method(capsys, other, equivalent):
 
 @pytest.mark.parametrize("argv,message", [
     (("count", "--inline", "0 0 1 1"), "--inline needs --field"),
-    (("field-info", "--field", "p=2,q=3"), "unknown field spec key 'q'"),
-    (("field-info", "--field", "p=2,x"), "bad field spec fragment 'x'"),
+    (("field-info", "--field", "p=2,q=3"), "bad field spec token 'q=3'"),
+    (("field-info", "--field", "p=2,x"), "bad field spec 'p=2,x'"),
     (("catalog", "--emit", "deg_q"), "--emit needs --field"),
     (("field-info", "--field", "p=2,k=0"), "extension degree k = 0 must be >= 1"),
-    (("field-info", "--field", "p=2,k=2,mod="), "bad field spec 'p=2 k=2 mod='"),
+    (("field-info", "--field", "p=2,k=2,mod="), "bad field spec 'p=2,k=2,mod='"),
+    (("field-info", "--field", "p=2, k=2, mod=1, 1, 1"), "bad field spec token '1,'"),
 ], ids=["inline-without-field", "field-unknown-key", "field-bad-fragment",
-        "emit-without-field", "field-k-zero", "field-empty-mod"])
+        "emit-without-field", "field-k-zero", "field-empty-mod", "field-space-in-mod"])
 def test_usage_errors_are_one_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")

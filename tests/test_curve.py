@@ -301,6 +301,8 @@ def test_curve_file_round_trip_and_errors(tmp_path, gf4):
         PlaneCurve.from_text("p=2 k=1\nd=0\n")
     with pytest.raises(ValueError, match="duplicate"):
         PlaneCurve.from_text("p=2 k=1\nd=1\n1 0 0 1\n1 0 0 1\n")
+    with pytest.raises(ValueError, match=r"^line 3: 9 is not an element code of GF\(4\)$"):
+        PlaneCurve.from_text("p=2 k=2\nd=1\n1 0 0 9\n")
     # an empty modulus is refused, not read as the default one
     with pytest.raises(ValueError, match="line 1: bad field spec 'p=2 k=2 mod='"):
         PlaneCurve.from_text("p=2 k=2 mod=\nd=1\n1 0 0 1\n")

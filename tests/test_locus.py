@@ -16,20 +16,20 @@ from conftest import field_for, random_curve, squared_point_free_cubic
 
 def test_quartic_locus_empty(gf4):
     res = decide_singular_locus(exceptional_quartic(gf4))
-    assert res.empty
+    assert res.status == "nonsingular"
 
 
 def test_cuspidal_cubic_rational_witness(gf5):
     cusp = PlaneCurve(gf5, 3, {(0, 2, 1): 1, (3, 0, 0): gf5.neg(1)})
     res = decide_singular_locus(cusp)
-    assert not res.empty and res.min_degree == 1
-    assert res.witness_rational == (0, 0, 1)
+    assert (res.status, res.witness_degree) == ("singular", 1)
+    assert res.witness_point == (0, 0, 1)
 
 
 def test_all_partials_zero_curve_is_everywhere_singular():
     F2 = field_for(2)
     res = decide_singular_locus(PlaneCurve(F2, 2, {(2, 0, 0): 1}))
-    assert not res.empty and res.min_degree == 1
+    assert (res.status, res.witness_degree) == ("singular", 1)
 
 
 def test_conjugate_intersection_gives_degree_two_witness():
@@ -37,7 +37,7 @@ def test_conjugate_intersection_gives_degree_two_witness():
     a = PlaneCurve(F3, 2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): F3.neg(1)})
     b = PlaneCurve(F3, 2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
     res = decide_singular_locus(curve_mul(a, b))
-    assert not res.empty and res.min_degree == 2 and res.exact_min
+    assert (res.status, res.witness_degree, res.witness_degree_exact) == ("singular", 2, True)
 
 
 @pytest.mark.parametrize("name,q", [
@@ -46,7 +46,7 @@ def test_conjugate_intersection_gives_degree_two_witness():
 ])
 def test_catalog_curves_have_empty_locus(name, q):
     res = decide_singular_locus(catalog_curve(name, field_for(q)))
-    assert res.empty
+    assert res.status == "nonsingular"
 
 
 def _sparse_curve(ctx, degree: int, rng: random.Random) -> PlaneCurve:
@@ -89,11 +89,11 @@ def test_oracle_cross_check_small_random():
         for m in (1, 2, 3):
             pts, _ = singular_points_over_extension(cur, m)
             found[m] = bool(pts)
-        if res.empty:
+        if res.status == "nonsingular":
             assert not any(found.values()), (cur.terms, found)
-        elif res.min_degree in (1, 2, 3):
-            assert found[res.min_degree]
-            assert not any(found[m] for m in range(1, res.min_degree))
+        elif res.witness_degree in (1, 2, 3):
+            assert found[res.witness_degree]
+            assert not any(found[m] for m in range(1, res.witness_degree))
         else:
             assert not any(found.values())
 
@@ -113,7 +113,7 @@ def test_one_dimensional_branch_scans_no_rational_points(monkeypatch):
 
     monkeypatch.setattr(PlaneCurve, "evaluate", counting)
     res = decide_singular_locus(squared_point_free_cubic())
-    assert (res.empty, res.min_degree, res.exact_min) == (False, 3, True)
+    assert (res.status, res.witness_degree, res.witness_degree_exact) == ("singular", 3, True)
     assert len(base_points) == 2 * 2 + 2 + 1
 
 
@@ -129,12 +129,12 @@ def test_quotient_ring_inversion_splits_on_zero_divisor():
     assert ring.mul(unit, ring.inv(unit)) == 1
 
 
-@pytest.mark.parametrize("q,terms,splits,min_degree,oracle", [
+@pytest.mark.parametrize("q,terms,splits,witness_degree,oracle", [
     (3, {(0, 1, 2): 2, (1, 2, 0): 2, (2, 1, 0): 2}, 1, 2, {1: 0, 2: 2, 3: 0}),
     (4, {(0, 1, 3): 2, (0, 4, 0): 2, (1, 0, 3): 1, (1, 2, 1): 1, (1, 3, 0): 1,
          (2, 2, 0): 2, (3, 0, 1): 2, (3, 1, 0): 1}, 2, 3, {1: 0, 2: 0, 3: 3}),
 ])
-def test_decisions_that_split_a_modulus(monkeypatch, q, terms, splits, min_degree, oracle):
+def test_decisions_that_split_a_modulus(monkeypatch, q, terms, splits, witness_degree, oracle):
     """Dynamic evaluation meets a zero divisor and still decides exactly."""
     raised = []
     init = locus._Split.__init__
@@ -147,7 +147,8 @@ def test_decisions_that_split_a_modulus(monkeypatch, q, terms, splits, min_degre
     cur = PlaneCurve.from_terms(field_for(q), terms)
     res = decide_singular_locus(cur)
     assert len(raised) == splits
-    assert not res.empty and res.min_degree == min_degree and res.exact_min
+    assert (res.status, res.witness_degree, res.witness_degree_exact) == (
+        "singular", witness_degree, True)
     found = {m: len(singular_points_over_extension(cur, m)[0]) for m in (1, 2, 3)}
     assert found == oracle
 

@@ -147,7 +147,9 @@ def test_random_requires_seed_and_samples():
 
 
 @pytest.mark.parametrize("changes,workers,match", [
-    ({"degree": -1}, 1, "degree must be >= 0"),
+    ({"degree": -1}, 1, "degree must be >= 1"),
+    ({"degree": 0, "mode": "random", "seed": 1, "n_samples": 3,
+      "require_no_linear_component": True}, 1, "degree must be >= 1"),
     ({"mode": "random", "seed": 1, "n_samples": 0}, 1, "at least one sample"),
     ({"mode": "constrained_random", "seed": 1, "n_samples": -2, "singular_at": (0, 0, 1)},
      1, "at least one sample"),
@@ -161,7 +163,8 @@ def test_random_requires_seed_and_samples():
      1, "singular_at is for constrained_random"),
     ({"mode": "constrained_random", "degree": 1, "seed": 1, "n_samples": 5,
       "singular_at": (0, 0, 1)}, 1, "constrained_random needs degree >= 2"),
-], ids=["negative-degree", "no-samples", "negative-samples", "negative-witness-cap",
+], ids=["negative-degree", "zero-degree", "no-samples", "negative-samples",
+        "negative-witness-cap",
         "zero-workers", "negative-workers", "exhaustive-seed", "exhaustive-samples",
         "exhaustive-singular-at", "random-singular-at", "constrained-degree-1"])
 def test_invalid_search_parameters_refused(engine_builds, changes, workers, match):
