@@ -20,8 +20,8 @@ _EXPORTS = {
     "bounds": ("BoundReport", "bound_values", "bound_verdicts", "equivalent_by_point_frames",
                "projective_equivalent", "step3_solution"),
     "catalog": ("CATALOG", "catalog_curve", "exceptional_quartic", "verify_catalog"),
-    "curve": ("BinaryForm", "PlaneCurve", "curve_mul", "divides", "exact_divide",
-              "frobenius_form", "has_linear_component", "monomials", "rational_points",
+    "curve": ("PlaneCurve", "curve_mul", "divides", "exact_divide", "frobenius_form",
+              "has_linear_component", "monomials", "rational_points",
               "singular_rational_points"),
     "field": ("ExtensionField", "FiniteField"),
     "linalg": (),

@@ -146,10 +146,7 @@ def intersection_multiplicity(curve: PlaneCurve, line, point):
         raise ValueError("the point must lie on the line")
     other = next(p for p in plane.span(ctx, line) if p != point)
     form = curve.restrict(point, other)
-    order = form.vanishing_order_at_origin()
-    if order is None:
-        return INFINITE
-    return order
+    return next((i for i, c in enumerate(form) if c), INFINITE)
 
 
 @dataclass(frozen=True)
@@ -218,17 +215,15 @@ def line_spectrum_by_restriction(curve: PlaneCurve) -> dict:
     """Independent spectrum: per-line counts from restriction root counting.
 
     Each line is restricted, through plane.span and not the incidence
-    cache, to a binary form whose rational projective roots are counted;
-    a vanishing restriction contributes a_(q+1).
+    cache, to a binary form whose rational projective roots are counted:
+    the t with g(1, t) = 0, and (0:1) when the t^d coefficient is 0.  So a
+    vanishing restriction counts all q + 1 points and contributes a_(q+1).
     """
     ctx = curve.ctx
     a: dict[int, int] = {}
     for line in plane.enumerate_lines(ctx):
         form = curve.restrict(*plane.span(ctx, line))
-        if form.is_zero():
-            i_count = ctx.q + 1
-        else:
-            i_count = len(form.rational_roots())
+        i_count = sum(unipoly.eval_at(ctx, form, t) == 0 for t in range(ctx.q)) + (form[-1] == 0)
         a[i_count] = a.get(i_count, 0) + 1
     return a
 

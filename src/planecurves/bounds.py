@@ -258,26 +258,38 @@ def _frame_matrix(ctx, frame):
     )
 
 
+def frame_scan(curve_f: PlaneCurve, curve_g: PlaneCurve) -> Optional[tuple]:
+    """(points of F, points of G, a frame among G's points) from one scan of
+    each curve.  The frame is None when no collineation maps G's points onto
+    F's: unequal counts, or a frame on F's side only.  The result is None
+    when the counts agree and neither side has a frame: brute force decides."""
+    ctx = curve_f.ctx
+    if ctx != curve_g.ctx or curve_f.degree != curve_g.degree:
+        raise ValueError("equivalence needs matching field and degree")
+    pts_f, pts_g = analysis.rational_points(curve_f), analysis.rational_points(curve_g)
+    frame_g = _find_frame(ctx, pts_g) if len(pts_f) == len(pts_g) else None
+    if frame_g is None and len(pts_f) == len(pts_g) and _find_frame(ctx, pts_f) is None:
+        return None
+    return pts_f, pts_g, frame_g
+
+
 def equivalent_by_point_frames(
-    curve_f: PlaneCurve, curve_g: PlaneCurve
+    curve_f: PlaneCurve, curve_g: PlaneCurve, scan: Optional[tuple] = None
 ) -> Optional[tuple]:
     """Witness search driven by rational point sets.
 
     Any witness must map the rational points of G bijectively onto those
     of F, and is determined by the images of four points in general
-    position; all such images are tried.  Complete whenever G's points
-    contain a frame, which holds for every curve this project feeds it.
+    position; all such images are tried.  `scan` is the pair's
+    `frame_scan`, computed when not given; refuses (ValueError) if None.
     """
     ctx = curve_f.ctx
-    if ctx != curve_g.ctx or curve_f.degree != curve_g.degree:
-        raise ValueError("equivalence needs matching field and degree")
-    pts_f = analysis.rational_points(curve_f)
-    pts_g = analysis.rational_points(curve_g)
-    if len(pts_f) != len(pts_g):
-        return None
-    frame_g = _find_frame(ctx, pts_g)
-    if frame_g is None:
+    scan = scan or frame_scan(curve_f, curve_g)
+    if scan is None:
         raise ValueError("point set of the target carries no frame")
+    pts_f, pts_g, frame_g = scan
+    if frame_g is None:
+        return None
     m_g_inv = linalg.mat_inv(ctx, _frame_matrix(ctx, frame_g))
     f_set = set(pts_f)
     others = [p for p in pts_g if p not in set(frame_g)]
@@ -285,12 +297,11 @@ def equivalent_by_point_frames(
         if plane.collinear_triple(ctx, combo) is not None:
             continue
         cand = linalg.mat_mul(ctx, _frame_matrix(ctx, combo), m_g_inv)
-        ok = True
+        # cand is invertible (two frames), so no image is (0, 0, 0)
         for gp in others:
-            image = linalg.mat_vec(ctx, cand, gp)
-            if image == (0, 0, 0) or plane.normalize(ctx, image) not in f_set:
-                ok = False
+            if plane.normalize(ctx, linalg.mat_vec(ctx, cand, gp)) not in f_set:
                 break
-        if ok and curve_f.transform(cand).scalar_equal(curve_g):
-            return cand
+        else:
+            if curve_f.transform(cand).scalar_equal(curve_g):
+                return cand
     return None

@@ -91,9 +91,8 @@ def _emit(args, payload: dict, csv_rows=None) -> None:
     sys.stdout.write("\n")
 
 
-def _add_curve_source(sub, with_field=True):
-    if with_field:
-        sub.add_argument("--field", help="field spec p=<p>,k=<k>[,mod=<c0,c1,...>]")
+def _add_curve_source(sub):
+    sub.add_argument("--field", help="field spec p=<p>,k=<k>[,mod=<c0,c1,...>]")
     sub.add_argument("--curve", help="path to a curve file")
     sub.add_argument("--inline", help='inline terms "<i> <j> <k> <coeff>;..."')
     sub.add_argument("--catalog", help="catalog entry name[:param=value,...]")
@@ -152,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--other-curve")
     s.add_argument("--other-inline")
     s.add_argument("--other-catalog")
-    s.add_argument("--method", choices=("frames", "brute"), default="frames")
     s.add_argument("--budget", type=int, default=10 ** 7)
     _add_common(s)
 
@@ -258,14 +256,15 @@ def cmd_frobenius(args) -> int:
 def cmd_equiv(args) -> int:
     cur = _load_curve(args)
     other = _load_curve(args, prefix="other_")
-    if args.method == "frames":
-        witness = pc.bounds.equivalent_by_point_frames(cur, other)
+    scan = pc.bounds.frame_scan(cur, other)
+    if scan is None:  # the frame search cannot decide, so brute force does
+        method, witness = "brute", pc.bounds.projective_equivalent(cur, other, args.budget)
     else:
-        witness = pc.bounds.projective_equivalent(cur, other, budget=args.budget)
+        method, witness = "frames", pc.bounds.equivalent_by_point_frames(cur, other, scan)
     _emit(args, {
         "equivalent": witness is not None,
         "witness": [list(row) for row in witness] if witness else None,
-        "method": args.method,
+        "method": method,
     })
     return 0
 
@@ -306,6 +305,7 @@ def cmd_verify_catalog(args) -> int:
         if r.get("count_ok") is False
         or r.get("no_linear_component") is False
         or r.get("no_rational_singularity") is False
+        or r.get("nonsingular") == "singular"
     ]
     _emit(args, {"rows": rows, "failures": len(failures)})
     return 2 if failures else 0

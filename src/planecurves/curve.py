@@ -1,10 +1,12 @@
 """Homogeneous trivariate polynomials over a finite field.
 
 A PlaneCurve holds a sparse term map {(i, j, k): coeff} with i+j+k equal
-to the degree and all coefficients nonzero.  A BinaryForm is the
-restriction of a curve to a parameterized line, stored densely.  The zero
-polynomial is represented by None wherever an operation can collapse
-(partials, frobenius_form); PlaneCurve itself always has a nonzero term.
+to the degree and all coefficients nonzero.  The restriction of a curve
+to the line s*P + t*Q, a binary form g(s, t), is the tuple of its d+1
+coefficients, entry i that of s^(d-i) t^i: g(1, t) low degree first, as
+unipoly reads it.  The zero polynomial is represented by None wherever an
+operation can collapse (partials, frobenius_form); PlaneCurve itself
+always has a nonzero term.
 Restriction to a line and composition with a matrix (restrict, transform)
 are one linear substitution, _substitute.  Divisibility (divides,
 exact_divide) is division by the leading term in lexicographic order,
@@ -155,15 +157,16 @@ class PlaneCurve:
             )
         return tuple(outs)
 
-    def restrict(self, p_point, q_point) -> "BinaryForm":
-        """The binary form g(s, t) = F(s*P + t*Q) on the line through P, Q."""
+    def restrict(self, p_point, q_point) -> tuple:
+        """g(s, t) = F(s*P + t*Q) on the line through P, Q as its d+1 coefficients,
+        entry i that of s^(d-i) t^i (g(1, t) low degree first); all zero on a component."""
         ctx = self.ctx
         if plane.normalize(ctx, p_point) == plane.normalize(ctx, q_point):
             raise ValueError("restriction needs two distinct points")
         d = self.degree
         # X, Y, Z become P_a*s + Q_a*t; s^(d-i) t^i lands on key (d-i, i, 0)
         terms = _substitute(self, [(a, b, 0) for a, b in zip(p_point, q_point)])
-        return BinaryForm(ctx, d, [terms.get((d - i, i, 0), 0) for i in range(d + 1)])
+        return tuple(terms.get((d - i, i, 0), 0) for i in range(d + 1))
 
     def transform(self, matrix) -> "PlaneCurve":
         """F composed with an invertible matrix: result(P) = F(M . P)."""
@@ -250,64 +253,6 @@ def _add_term(terms: dict, text: str) -> Exponents:
         raise ValueError(f"duplicate term ({i}, {j}, {k})")
     terms[(i, j, k)] = c
     return i, j, k
-
-
-class BinaryForm:
-    """A homogeneous form g(s, t) of fixed degree; may be identically zero.
-
-    coeffs[i] is the coefficient of s^(d-i) t^i.
-    """
-
-    def __init__(self, ctx, degree: int, coeffs):
-        coeffs = list(coeffs)
-        if len(coeffs) != degree + 1:
-            raise ValueError("coefficient list must have length degree+1")
-        for c in coeffs:
-            ctx.check(c)
-        self.ctx = ctx
-        self.degree = degree
-        self.coeffs = tuple(coeffs)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def evaluate(self, s: int, t: int) -> int:
-        ctx = self.ctx
-        spow = ctx.powers(s, self.degree)
-        tpow = ctx.powers(t, self.degree)
-        acc = 0
-        for i, c in enumerate(self.coeffs):
-            if c:
-                acc = ctx.add(acc, ctx.mul(c, ctx.mul(spow[self.degree - i], tpow[i])))
-        return acc
-
-    def vanishing_order_at_origin(self) -> Optional[int]:
-        """Order of vanishing at (s:t) = (1:0); None for the zero form."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return None
-
-    def dehomogenized(self) -> list[int]:
-        """g(1, t) as a unipoly coefficient list."""
-        out = list(self.coeffs)
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
-    def rational_roots(self) -> list[tuple[int, int]]:
-        """Distinct (s:t) roots with coordinates in the base field."""
-        ctx = self.ctx
-        out = []
-        for t in range(ctx.q):
-            if self.evaluate(1, t) == 0:
-                out.append((1, t))
-        if self.coeffs[self.degree] == 0:
-            out.append((0, 1))
-        return out
-
-    def __repr__(self) -> str:
-        return f"BinaryForm({self.ctx!r}, deg={self.degree}, {list(self.coeffs)})"
 
 
 def _term_mul(ctx, a: dict, b: dict) -> dict:
@@ -451,7 +396,7 @@ def has_linear_component(f: PlaneCurve, points=None):
     on_f = {pl.point_index[p] for p in (rational_points(f) if points is None else points)}
     for li, line in enumerate(pl.lines):
         if all(pi in on_f for pi in pl.points_on[li]):
-            if f.restrict(*plane.span(f.ctx, line)).is_zero():
+            if not any(f.restrict(*plane.span(f.ctx, line))):
                 return line
     return None
 
@@ -491,5 +436,4 @@ def restriction_map(f_ctx, d: int, line):
     coefficients sum_m c_m * row_m.
     """
     p_pt, q_pt = plane.span(f_ctx, line)
-    return [PlaneCurve(f_ctx, d, {mono: 1}).restrict(p_pt, q_pt).coeffs
-            for mono in monomials(d)]
+    return [PlaneCurve(f_ctx, d, {mono: 1}).restrict(p_pt, q_pt) for mono in monomials(d)]

@@ -235,7 +235,7 @@ def _restrict_line_case(ctx, system, line):
     # V(system) does not contain
     p_pt, q_pt = plane.span(ctx, line)
     forms = [member.restrict(p_pt, q_pt) for member in system]
-    g = unipoly.gcd_all(ctx, [form.dehomogenized() for form in forms if not form.is_zero()])
+    g = unipoly.gcd_all(ctx, [unipoly.trim(list(form)) for form in forms if any(form)])
     if unipoly.deg(g) == 0:
         return None
     return unipoly.least_root_degree(ctx, g, ctx.q)

@@ -2,10 +2,11 @@ import argparse
 import json
 import shlex
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from planecurves import cli
+from planecurves import analysis, cli
 from planecurves.cli import main
 from planecurves.catalog import CATALOG, catalog_curve, exceptional_quartic
 from planecurves.curve import PlaneCurve
@@ -307,6 +308,22 @@ def test_verify_catalog_exit_zero(capsys):
     assert payload["failures"] == 0
 
 
+def test_verify_catalog_fails_on_a_singular_verdict(capsys, monkeypatch):
+    """Every catalog curve is nonsingular, so a singular verdict is a failure."""
+    real = analysis.is_geometrically_nonsingular
+    calls = []
+
+    def first_singular(cur, **kwargs):
+        calls.append(cur)
+        return SimpleNamespace(status="singular") if len(calls) == 1 else real(cur, **kwargs)
+
+    monkeypatch.setattr(analysis, "is_geometrically_nonsingular", first_singular)
+    code, out, _ = run_cli(capsys, "verify-catalog", "--q", "2", "--no-timestamp")
+    payload = json.loads(out)
+    assert [row.get("nonsingular") for row in payload["rows"]].count("singular") == 1
+    assert (code, payload["failures"]) == (2, 1)
+
+
 def test_search_subcommand_json_and_csv(capsys):
     code, out, _ = run_cli(
         capsys, "search", "--field", "p=2,k=1", "--degree", "2",
@@ -398,16 +415,28 @@ def test_csv_refused_by_a_command_without_a_csv_form(capsys):
     assert (code, out, err) == (1, "", "error: this subcommand has no CSV form\n")
 
 
-@pytest.mark.parametrize("other,equivalent", [("0 2 0 1", True), ("1 1 0 1", False)],
-                         ids=["double-lines", "double-line-vs-line-pair"])
-def test_equiv_brute_force_method(capsys, other, equivalent):
+@pytest.mark.parametrize("field,inline,other,method,equivalent", [
+    ("p=2,k=1", "2 0 0 1", "0 2 0 1", "brute", True),
+    ("p=2,k=1", "2 0 0 1", "1 1 0 1", "frames", False),
+    ("p=2,k=1", "2 0 0 1", "2 0 0 1; 1 1 0 1; 0 2 0 1", "frames", False),
+    ("p=2,k=3", "2 0 0 1; 1 1 0 1; 0 2 0 1", "2 0 0 1", "frames", False),
+    ("p=3,k=1", "2 0 0 1; 0 2 0 1; 0 0 2 2", "2 0 0 1", "frames", False),
+    ("p=3,k=1", "1 0 0 1", "0 1 0 1", "brute", True),
+], ids=["double-lines", "double-line-vs-line-pair", "double-line-vs-one-point-conic",
+        "gf8-one-point-conic-vs-double-line", "conic-vs-double-line", "two-lines"])
+def test_equiv_brute_force_method(capsys, field, inline, other, method, equivalent):
+    """The frame search runs when the point counts differ or either
+    curve's points hold a frame (the line pair's and the conic's do),
+    brute force when the counts agree and neither does (a line's).  Over
+    GF(8) brute force is over the default budget, so the conic against
+    the double line (1 and 9 points) must be settled by the counts."""
     code, out, _ = run_cli(
-        capsys, "equiv", "--field", "p=2,k=1", "--inline", "2 0 0 1", "--other-inline", other,
-        "--method", "brute", "--no-timestamp",
+        capsys, "equiv", "--field", field, "--inline", inline, "--other-inline", other,
+        "--no-timestamp",
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["method"] == "brute" and payload["equivalent"] is equivalent
+    assert payload["method"] == method and payload["equivalent"] is equivalent
     assert (payload["witness"] is not None) is equivalent
 
 

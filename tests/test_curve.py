@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from planecurves import linalg, plane
+from planecurves import analysis, linalg, plane
 from planecurves.catalog import catalog_curve, exceptional_quartic
 from planecurves.curve import (
-    BinaryForm,
     PlaneCurve,
     curve_mul,
     divides,
@@ -76,24 +75,25 @@ def test_restrict_conic_to_line():
     F5 = field_for(5)
     conic = PlaneCurve(F5, 2, {(0, 1, 1): 1, (2, 0, 0): F5.neg(1)})
     g = conic.restrict((0, 0, 1), (0, 1, 0))
-    assert g.coeffs == (0, 1, 0)  # g(s, t) = s t
+    assert g == (0, 1, 0)  # g(s, t) = s t
 
 
 def test_restrict_zero_form_for_contained_line():
     F3 = field_for(3)
     z_curve = PlaneCurve(F3, 1, {(0, 0, 1): 1})
     g = z_curve.restrict((1, 0, 0), (0, 1, 0))
-    assert g.is_zero()
+    assert g == (0, 0)
 
 
 def test_restrict_degree_preserved(gf4):
     quartic = PlaneCurve(gf4, 4, {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1})
     g = quartic.restrict((1, 0, 0), (0, 1, 1))
-    assert g.degree == 4 and len(g.coeffs) == 5
+    assert type(g) is tuple and len(g) == 5
 
 
 def test_restriction_vs_pointwise_evaluation():
-    """g(s, t) must equal F(sP + tQ) at every parameter value."""
+    """g(s, t), the sum of c_i s^(d-i) t^i over the restriction's
+    coefficients, must equal F(sP + tQ) at every parameter value."""
     rng = random.Random(11)
     for q in (3, 4, 5):
         ctx = field_for(q)
@@ -103,6 +103,7 @@ def test_restriction_vs_pointwise_evaluation():
             p_pt = pts[rng.randrange(len(pts))]
             q_pt = next(p for p in pts if p != p_pt)
             form = cur.restrict(p_pt, q_pt)
+            d = len(form) - 1
             for s in range(q):
                 for t in range(q):
                     if (s, t) == (0, 0):
@@ -111,7 +112,11 @@ def test_restriction_vs_pointwise_evaluation():
                         ctx.add(ctx.mul(s, a), ctx.mul(t, b))
                         for a, b in zip(p_pt, q_pt)
                     )
-                    assert form.evaluate(s, t) == cur.evaluate(combo)
+                    spow, tpow = ctx.powers(s, d), ctx.powers(t, d)
+                    value = 0
+                    for i, c in enumerate(form):
+                        value = ctx.add(value, ctx.mul(c, ctx.mul(spow[d - i], tpow[i])))
+                    assert value == cur.evaluate(combo)
 
 
 def test_divides_examples():
@@ -287,7 +292,7 @@ def test_restriction_map_linearity():
         for idx, rc in enumerate(row):
             combined[idx] = ctx.add(combined[idx], ctx.mul(c, rc))
     direct = cur.restrict(*plane.span(ctx, line))
-    assert tuple(combined) == direct.coeffs
+    assert tuple(combined) == direct
 
 
 def test_curve_file_round_trip_and_errors(tmp_path, gf4):
@@ -355,7 +360,13 @@ def test_canonical_scaling():
 
 def test_binary_form_roots():
     F3 = field_for(3)
-    # g(s,t) = t(s - t): roots (1:0) and (1:1)
-    g = BinaryForm(F3, 2, [0, 1, F3.neg(1)])
-    assert sorted(g.rational_roots()) == [(1, 0), (1, 1)]
-    assert g.vanishing_order_at_origin() == 1
+    # XY - Y^2 on the line Z = 0, through (1:0:0) and (0:1:0), is
+    # g(s,t) = t(s - t): roots (1:0) and (1:1), not (0:1)
+    cur = PlaneCurve(F3, 2, {(1, 1, 0): 1, (0, 2, 0): F3.neg(1)})
+    assert cur.restrict((1, 0, 0), (0, 1, 0)) == (0, 1, F3.neg(1))
+    orders = [analysis.intersection_multiplicity(cur, (0, 0, 1), pt)
+              for pt in ((1, 0, 0), (1, 1, 0), (0, 1, 0))]
+    assert orders == [1, 1, 0]
+    # the two lines Y = 0 and X = Y: 2 components, 2 more lines through
+    # their meet (0:0:1), and 9 lines, Z = 0 among them, with two roots
+    assert analysis.line_spectrum_by_restriction(cur) == {4: 2, 1: 2, 2: 9}

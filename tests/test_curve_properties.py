@@ -88,7 +88,8 @@ def test_a_point_on_f_off_g_refutes_divisibility(data):
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_substitution_commutes_with_evaluation(data):
-    """f.transform(M)(P) == f(M P) and f.restrict(A, B)(s, t) == f(sA + tB)."""
+    """f.transform(M)(P) == f(M P) and f.restrict(A, B), the coefficients
+    c_i of s^(d-i) t^i, sums to f(sA + tB)."""
     ctx = data.draw(st.sampled_from(FIELDS), label="field")
     element = st.integers(0, ctx.q - 1)
     triple = st.tuples(element, element, element)
@@ -105,4 +106,8 @@ def test_substitution_commutes_with_evaluation(data):
     assume(any(a) and any(b) and plane.normalize(ctx, a) != plane.normalize(ctx, b))
     s, t = data.draw(element, label="s"), data.draw(element, label="t")
     on_line = tuple(ctx.add(ctx.mul(s, x), ctx.mul(t, y)) for x, y in zip(a, b))
-    assert f.restrict(a, b).evaluate(s, t) == f.evaluate(on_line)
+    spow, tpow = ctx.powers(s, degree), ctx.powers(t, degree)
+    value = 0
+    for i, c in enumerate(f.restrict(a, b)):
+        value = ctx.add(value, ctx.mul(c, ctx.mul(spow[degree - i], tpow[i])))
+    assert value == f.evaluate(on_line)

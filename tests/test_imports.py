@@ -18,9 +18,10 @@ import planecurves
 PACKAGE = Path(planecurves.__file__).resolve().parent
 SEARCH_NAMES = ("SearchRecord", "SearchTask", "random_singular_instances", "run_search")
 
-# `from planecurves import *` before the search names were made lazy.
+# `from planecurves import *` before the search names were made lazy, less
+# the names deleted since.
 STAR_EXPORTS = {
-    "BinaryForm", "BoundReport", "CATALOG", "CountReport", "ExtensionField",
+    "BoundReport", "CATALOG", "CountReport", "ExtensionField",
     "FiniteField", "INFINITE", "LineSpectrum", "NonsingularityVerdict", "PlaneCurve",
     "SearchRecord", "SearchTask", "analysis", "bound_values", "bound_verdicts",
     "bounds", "catalog", "catalog_curve", "count_by_line_sweep", "count_points",

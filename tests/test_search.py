@@ -281,7 +281,7 @@ def _curve_restricting_to(ctx, d, line, g, rng):
     terms = {**{(d - i, i, 0): gi for i, gi in enumerate(g) if gi}, **z_part.terms}
     # F(P) = F'(M^-1 P), M with columns a, b, c, so F(s a + t b) = F'(s, t, 0)
     cur = PlaneCurve(ctx, d, terms).transform(linalg.mat_inv(ctx, tuple(zip(a, b, c))))
-    assert cur.restrict(a, b).coeffs == tuple(g)
+    assert cur.restrict(a, b) == tuple(g)
     return cur
 
 
