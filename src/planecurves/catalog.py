@@ -187,7 +187,7 @@ def context_for(q: int) -> FiniteField:
     return FiniteField(p, k)
 
 
-def verify_catalog(q_list, check_nonsingular: bool = True) -> list[dict]:
+def verify_catalog(q_list) -> list[dict]:
     """Run every applicable entry over every q and report the checks.
 
     Each row records the exact count vs the closed form, the absence of
@@ -207,7 +207,7 @@ def verify_catalog(q_list, check_nonsingular: bool = True) -> list[dict]:
             n = counts.N
             expected = entry.expected_count(q)
             d = cur.degree
-            row = {
+            rows.append({
                 "entry": name,
                 "q": q,
                 "d": d,
@@ -217,11 +217,9 @@ def verify_catalog(q_list, check_nonsingular: bool = True) -> list[dict]:
                 "no_linear_component": counts.linear_component is None,
                 "no_rational_singularity": not counts.rational_singular,
                 "sziklai_equality": n == (d - 1) * q + 1,
-            }
-            if check_nonsingular:
-                row["nonsingular"] = analysis.is_geometrically_nonsingular(
-                    cur, rational=counts.rational_singular).status
-            rows.append(row)
+                "nonsingular": analysis.is_geometrically_nonsingular(
+                    cur, rational=counts.rational_singular).status,
+            })
         rows.append(
             {
                 "entry": "deg_q_plus_2",

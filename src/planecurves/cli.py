@@ -165,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("verify-catalog", help="check every catalog equality "
                         "N = expected over a list of q")
     s.add_argument("--q", required=True, help="comma-separated prime powers")
-    s.add_argument("--skip-nonsingular", action="store_true")
     _add_common(s)
 
     s = subs.add_parser("search", help="exhaustive or seeded-random search "
@@ -298,8 +297,7 @@ def cmd_verify_catalog(args) -> int:
             raise ValueError(f"--q needs comma-separated integers, got {piece!r}") from None
     if not q_list:
         raise ValueError(f"--q needs at least one integer, got {args.q!r}")
-    rows = pc.catalog.verify_catalog(list(dict.fromkeys(q_list)),
-                                     check_nonsingular=not args.skip_nonsingular)
+    rows = pc.catalog.verify_catalog(list(dict.fromkeys(q_list)))
     failures = [
         r for r in rows
         if r.get("count_ok") is False

@@ -11,13 +11,14 @@ stays one: gcds (tri_gcd) and exact quotients (curve.exact_divide) are
 PlaneCurves too, and a restriction to a rational line is spanned by
 plane.span.  The decision works by recursive decomposition of the system
 into (a) one-dimensional branches, where the locus contains a whole curve
-and witnesses come from line restrictions or small-field scans, and
-(b) zero-dimensional branches, where a coprime pair is eliminated down to
-a single variable by an interpolated resultant and surviving candidates
-are confirmed with gcds over quotient rings GF(q)[y]/(u).  Quotient
-moduli may be products of same-degree irreducibles; any zero divisor met
-along the way splits the modulus and the affected piece is redone
-(dynamic evaluation), so no equal-degree factorization is ever needed.
+and witnesses come from the line X = 0 and the roots of the fibres
+F(1, y0, z) over GF(q^a), and (b) zero-dimensional branches, where a
+coprime pair is eliminated down to a single variable by an interpolated
+resultant and surviving candidates are confirmed with gcds over quotient
+rings GF(q)[y]/(u).  Quotient moduli may be products of same-degree
+irreducibles; any zero divisor met along the way splits the modulus and
+the affected piece is redone (dynamic evaluation), so no equal-degree
+factorization is ever needed.
 A ring element is coded like a tower element of field.py: an integer
 whose base-q digits are its coordinates in 1, y, ..., y^(deg u - 1).
 The ring is a _FieldOps context with its own inversion, so unipoly's
@@ -28,13 +29,12 @@ The decision starts from the rational scan and decomposes only when that
 scan finds no rational singular point.  Every V(system) in the recursion
 lies inside the singular locus (a gcd d of a and b has d | a and d | b),
 so no branch contains a rational point: a one-dimensional branch scans
-from GF(q^2) up, and a line restriction never needs its point at s = 0.
+its fibres from GF(q^2) up, and a line restriction never needs its point
+at s = 0.
 
-Each branch returns the least extension degree of a point it finds, or
-None, and _decompose also returns whether that degree is exact.  It is
-exact unless a one-dimensional branch hit the enumeration cap _ENUM_CAP
-and fell back to slicing by the coordinate lines.  A branch stops at the
-first degree that nothing left in it can undercut.
+Each branch returns the least extension degree of a point in it, or
+None; every branch is exact, so the verdict's degree is the least.  A
+branch stops at the first degree that nothing left in it can undercut.
 
 Plain point enumeration over GF(q^m) is also provided; it is the oracle
 the exact path is tested against at small sizes.
@@ -49,30 +49,24 @@ from . import plane, unipoly
 from .curve import PlaneCurve, exact_divide, lift_curve, singular_rational_points
 from .field import _FieldOps
 
-# a one-dimensional branch enumerates GF(q^m)-points while q^(2m) <= this
-_ENUM_CAP = 10 ** 6
-
 
 @dataclass(frozen=True)
 class NonsingularityVerdict:
     """The singular-locus decision over the algebraic closure, as a verdict.
 
     status is "nonsingular" or "singular"; a singular verdict carries the
-    least extension degree of a singular point, a rational one when there
-    is one, and whether that degree is known to be the least.
+    least extension degree of a singular point, exactly, and a rational
+    one when there is one.
     """
 
     status: str
     witness_degree: Optional[int] = None
     witness_point: Optional[tuple] = None
-    # False only on the capped fallback for a locus containing a curve
-    witness_degree_exact: Optional[bool] = None
 
     def to_json_dict(self) -> dict:
         return {
             "status": self.status,
             "witness_degree": self.witness_degree,
-            "witness_degree_exact": self.witness_degree_exact,
             "witness_point": (
                 plane.point_to_string(self.witness_point) if self.witness_point else None
             ),
@@ -332,47 +326,52 @@ def _ring_candidates(ctx, chart_all, u, e):
 
 
 def _curve_min_degree(ctx, cur):
-    """(least degree, exact) for a one-dimensional branch: every point of
-    the curve V(cur) is in the locus, so none is rational."""
-    m = 2
-    while (ctx.q ** m) ** 2 <= _ENUM_CAP:
-        ext = ctx.extension(m)
-        lifted = lift_curve(cur, ext)
-        for point in plane.enumerate_points(ext):
-            if lifted.evaluate(point) == 0:
-                return m, True
-        m += 1
-    # capped: exhibit a point class on a coordinate-line slice, a witness
-    # degree that is possibly not the minimum
-    best = _least(*(_restrict_line_case(ctx, [cur], line)
-                    for line in ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+    """Least degree of a point of the curve V(cur), a one-dimensional branch.
+
+    The line X = 0 gives a first bound.  A point off it of degree D is
+    (1 : y0 : z) with y0 in GF(q^D) and z a root of the fibre F(1, y0, z)
+    in GF(q^D), so a scan of the fibres over GF(q^a), a = 2, 3, ..., finds
+    it at level D at the latest and can stop at the first level that the
+    best degree found does not exceed.  No fibre is zero: each passes
+    through the rational point (0:0:1), which V(cur) does not contain.
+    """
+    best = _restrict_line_case(ctx, [cur], (1, 0, 0))
     if best is None:
-        raise RuntimeError("a positive-degree curve must meet a coordinate line")
-    return best, False
+        raise RuntimeError("a positive-degree curve must meet the line X = 0")
+    fibre = _grouped(ctx, cur.terms, 2, 1)
+    a = 2
+    while a < best:
+        field = ctx.extension(a)
+        for y0 in range(field.q):
+            f = unipoly.trim([unipoly.eval_at(field, p, y0) for p in fibre])
+            if unipoly.deg(f) >= 1:
+                best = min(best, a * unipoly.least_root_degree(field, f, field.q))
+            if best == a:
+                return a
+        a += 1
+    return best
 
 
 def _decompose(ctx, system):
-    """(least degree of a point of V(system) or None, whether it is exact)."""
+    """Least degree of a point of V(system), or None."""
     if any(f.degree == 0 for f in system):
-        return None, True
+        return None
     if len(system) == 1:
         return _curve_min_degree(ctx, system[0])
     linear = next((f for f in system if f.degree == 1), None)
     if linear is not None:
         line = _linear_to_triple(ctx, linear.terms)
         rest = [f for f in system if f is not linear]
-        return _restrict_line_case(ctx, rest, line), True
+        return _restrict_line_case(ctx, rest, line)
     a, b = sorted(system, key=lambda f: f.degree)[:2]
     rest = [f for f in system if f is not a and f is not b]
     d = tri_gcd(a, b)
     if d.degree >= 1:
-        first, first_exact = _decompose(ctx, [d] + rest)
-        second, second_exact = _decompose(
-            ctx, [exact_divide(a, d), exact_divide(b, d)] + rest)
-        return _least(first, second), first_exact and second_exact
+        return _least(_decompose(ctx, [d] + rest),
+                      _decompose(ctx, [exact_divide(a, d), exact_divide(b, d)] + rest))
     # coprime pair: finitely many common zeros
     return _least(_restrict_line_case(ctx, system, (1, 0, 0)),
-                  _chart_candidates(ctx, system, a, b)), True
+                  _chart_candidates(ctx, system, a, b))
 
 
 def _linear_to_triple(ctx, terms):
@@ -400,14 +399,14 @@ def decide_singular_locus(curve: PlaneCurve, rational=None) -> NonsingularityVer
     # cheap first: rational singular points double as degree-1 witnesses
     rational = singular_rational_points(curve) if rational is None else rational
     if rational:
-        return NonsingularityVerdict("singular", 1, rational[0], True)
-    best, exact = _decompose(ctx, system)
+        return NonsingularityVerdict("singular", 1, rational[0])
+    best = _decompose(ctx, system)
     if best is None:
         return NonsingularityVerdict("nonsingular")
     if best == 1:
         # the decomposition claims a rational witness the scan should have seen
         raise RuntimeError("inconsistent rational-witness bookkeeping")
-    return NonsingularityVerdict("singular", best, None, exact)
+    return NonsingularityVerdict("singular", best)
 
 
 def singular_points_over_extension(curve: PlaneCurve, m: int):

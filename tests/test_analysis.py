@@ -61,21 +61,34 @@ def test_membership_required_when_char_divides_degree():
 def test_nonsingularity_verdicts(gf4, gf5):
     hermitian = PlaneCurve(gf4, 3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
     v = analysis.is_geometrically_nonsingular(hermitian)
-    assert v.status == "nonsingular" and v.witness_degree_exact is None
+    assert v.status == "nonsingular" and v.witness_degree is None
     cusp = PlaneCurve(gf5, 3, {(0, 2, 1): 1, (3, 0, 0): gf5.neg(1)})
     v = analysis.is_geometrically_nonsingular(cusp)
     assert v.status == "singular" and v.witness_degree == 1
 
 
-def test_verdict_says_when_witness_degree_may_not_be_minimal(monkeypatch):
+# over GF(32): the product of the four GF(32^4)-conjugates of one line
+CONJUGATE_LINE_QUARTIC_GF32 = (
+    "0 0 4 1; 0 1 3 3; 0 2 2 6; 0 3 1 31; 0 4 0 16; 1 0 3 18; 1 1 2 29; 1 2 1 25; "
+    "1 3 0 28; 2 0 2 3; 2 1 1 18; 2 2 0 16; 3 0 1 9; 3 1 0 20; 4 0 0 1")
+
+
+def test_one_dimensional_branch_degree_is_exact():
+    """A square is singular along its whole root curve.  The four conjugate
+    lines L1, ..., L4 of the quartic are permuted cyclically by Frobenius
+    sigma, so sigma^2 swaps L1 and L3 and fixes their meet: a point of
+    degree 2.  Every coordinate line meets the quartic only in points of
+    degree 4, so a witness read off those lines alone would say 4."""
     square = squared_point_free_cubic()
-    full = analysis.is_geometrically_nonsingular(square)
-    assert (full.witness_degree, full.witness_degree_exact) == (3, True)
-    monkeypatch.setattr(locus, "_ENUM_CAP", 1)
-    capped = analysis.is_geometrically_nonsingular(square)
-    assert (capped.status, capped.witness_degree) == ("singular", 3)
-    assert capped.witness_degree_exact is False
-    assert capped.to_json_dict()["witness_degree_exact"] is False
+    v = analysis.is_geometrically_nonsingular(square)
+    assert (v.status, v.witness_degree) == ("singular", 3)
+    quartic = PlaneCurve.parse_inline(FiniteField(2, 5), CONJUGATE_LINE_QUARTIC_GF32)
+    assert [locus._restrict_line_case(quartic.ctx, [quartic], line)
+            for line in ((1, 0, 0), (0, 1, 0), (0, 0, 1))] == [4, 4, 4]
+    v = analysis.is_geometrically_nonsingular(curve_mul(quartic, quartic))
+    assert (v.status, v.witness_degree) == ("singular", 2)
+    assert v.to_json_dict() == {"status": "singular", "witness_degree": 2,
+                                "witness_point": None}
 
 
 # Z^5 + Y^2Z^3 + Y^5 + XY^3Z + X^2Z^3 + X^2YZ^2 + X^2Y^3 + X^3YZ + X^5 over
@@ -92,7 +105,7 @@ def test_quintic_singular_only_over_gf32():
     found = [len(singular_points_over_extension(cur, m)[0]) for m in range(1, 6)]
     assert found == [0, 0, 0, 0, 10]
     v = analysis.is_geometrically_nonsingular(cur)
-    assert (v.status, v.witness_degree, v.witness_degree_exact) == ("singular", 5, True)
+    assert (v.status, v.witness_degree) == ("singular", 5)
 
 
 def _conjugate_line_product(ctx, n: int, rng: random.Random) -> PlaneCurve:

@@ -8,11 +8,12 @@ from conftest import field_for
 
 
 def test_entry_counts_across_fields():
-    rows = verify_catalog([2, 3, 4, 5, 7, 8, 9], check_nonsingular=False)
+    rows = verify_catalog([2, 3, 4, 5, 7, 8, 9])
     generated = [r for r in rows if r["entry"] != "deg_q_plus_2"]
     assert all(r["count_ok"] for r in generated)
     assert all(r["no_linear_component"] for r in generated)
     assert all(r["no_rational_singularity"] for r in generated)
+    assert all(r["nonsingular"] == "nonsingular" for r in generated)
 
 
 def test_expected_count_formulas():
@@ -78,14 +79,14 @@ def test_smooth_conic_everywhere():
 
 
 def test_verify_catalog_emits_deg_q_plus_2_row():
-    rows = verify_catalog([3], check_nonsingular=False)
+    rows = verify_catalog([3])
     synth = [r for r in rows if r["entry"] == "deg_q_plus_2"]
     assert len(synth) == 1
     assert synth[0]["expected_N"] == 13 and synth[0]["N"] is None
 
 
 def test_verify_catalog_nonsingularity_column():
-    rows = verify_catalog([4], check_nonsingular=True)
+    rows = verify_catalog([4])
     for r in rows:
         if r["entry"] == "deg_q_plus_2":
             continue

@@ -128,8 +128,8 @@ def test_singular_subcommand(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["singular_rational"] == ["0:0:1"]
-    assert payload["geometric"]["status"] == "singular"
-    assert payload["geometric"]["witness_degree_exact"] is True
+    assert payload["geometric"] == {"status": "singular", "witness_degree": 1,
+                                    "witness_point": "0:0:1"}
 
 
 @pytest.mark.parametrize("command", ["singular", "bounds"])
@@ -289,8 +289,7 @@ def test_verify_catalog_refuses_an_empty_q_list(capsys, q):
 
 def test_verify_catalog_checks_each_q_once(capsys):
     def qs(q_arg):
-        code, out, _ = run_cli(capsys, "verify-catalog", "--q", q_arg, "--skip-nonsingular",
-                               "--no-timestamp")
+        code, out, _ = run_cli(capsys, "verify-catalog", "--q", q_arg, "--no-timestamp")
         assert code == 0
         return [row["q"] for row in json.loads(out)["rows"]]
 
@@ -300,12 +299,13 @@ def test_verify_catalog_checks_each_q_once(capsys):
 
 def test_verify_catalog_exit_zero(capsys):
     code, out, _ = run_cli(
-        capsys, "verify-catalog", "--q", "2,3", "--skip-nonsingular",
-        "--no-timestamp",
+        capsys, "verify-catalog", "--q", "2,3", "--no-timestamp",
     )
     assert code == 0
     payload = json.loads(out)
     assert payload["failures"] == 0
+    assert all(r["nonsingular"] == "nonsingular"
+               for r in payload["rows"] if r["entry"] != "deg_q_plus_2")
 
 
 def test_verify_catalog_fails_on_a_singular_verdict(capsys, monkeypatch):
